@@ -46,7 +46,7 @@ class AnalysisConfig:
     sigma_theta: list[list[float]] | None = None
     kappa: float = 2.0
     tau_squared: float = 1.0
-    err_rel: list[float] = field(default_factory=lambda: [0.25])
+    err_rel: list[float] | None = None  # [0.25] unless explicit bands are given
     alpha_minus: list[float] | None = None
     alpha_plus: list[float] | None = None
     epsilon: float = 1.0
@@ -57,13 +57,15 @@ class AnalysisConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        explicit_band = self.alpha_minus is not None or self.alpha_plus is not None
+        if self.err_rel is None:
+            self.err_rel = [] if explicit_band else [0.25]
         if isinstance(self.err_rel, (int, float)):
             self.err_rel = [float(self.err_rel)]
         self.err_rel = [float(e) for e in self.err_rel]
-        explicit_band = self.alpha_minus is not None or self.alpha_plus is not None
         if explicit_band and (self.alpha_minus is None or self.alpha_plus is None):
             raise ConfigError("explicit bands need both alpha_minus and alpha_plus")
-        if explicit_band and len(self.err_rel) > 0 and self._err_given:
+        if explicit_band and self.err_rel:
             raise ConfigError("give either err_rel or explicit bands, not both")
         if (self.forecast_fraction is None) == (self.mu_theta is None):
             raise ConfigError("give exactly one of forecast_fraction or mu_theta")
@@ -83,10 +85,6 @@ class AnalysisConfig:
             raise ConfigError("mc_n_samples must be >= 1")
         if self.mc_bins < 2:
             raise ConfigError("mc_bins must be >= 2")
-
-    @property
-    def _err_given(self) -> bool:
-        return bool(self.err_rel)
 
     @staticmethod
     def from_dict(doc: dict) -> "AnalysisConfig":

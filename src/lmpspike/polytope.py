@@ -1,9 +1,13 @@
 """Halfspace polytopes {x : G x <= w} and the operations the region machinery needs.
 
-Everything here is LP-backed (HiGHS): emptiness, Chebyshev centers, redundancy
-removal, facet interior points and axis extremes.  Fourier-Motzkin projection
-with per-step pruning handles the feasible-parameter-set construction, where a
-handful of dispatch variables get eliminated from the joint constraint system.
+A polytope pairs its halfspace rows with a cached vertex set, computed once by
+a qhull halfspace intersection (`scipy.spatial.HalfspaceIntersection`) seeded
+at the Chebyshev center, or in closed form for an interval.  Redundancy
+removal, support values, bounding boxes and facet points are read off the
+vertices.  LPs (HiGHS) remain only for the Chebyshev center, which also
+decides emptiness.  Fourier-Motzkin projection with per-step pruning handles
+the feasible-parameter-set construction, where a handful of dispatch variables
+get eliminated from the joint constraint system.
 """
 
 from __future__ import annotations
@@ -11,12 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import lp
 from .errors import InfeasibleError, NumericalError
 
 # rows with coefficient norm below this are treated as constant constraints
 ZERO_ROW_TOL = 1e-11
+# Chebyshev radius at or below which a polytope counts as empty or
+# lower-dimensional: qhull needs a point strictly inside
+FLAT_TOL = 1e-9
+# slack within which a vertex lies on a row's hyperplane, and the spread a
+# facet's vertices need to span it
+FACET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -24,6 +35,7 @@ class Polytope:
     G: np.ndarray
     w: np.ndarray
     _cheb: tuple[np.ndarray, float] | None = field(default=None, compare=False)
+    _verts: np.ndarray | None = field(default=None, compare=False)
 
     @staticmethod
     def from_rows(G, w) -> "Polytope":
@@ -94,85 +106,89 @@ class Polytope:
         return center, radius
 
     def is_empty(self, tol=1e-9) -> bool:
-        try:
-            _, r = self.chebyshev()
-        except NumericalError:
-            return True
+        _, r = self.chebyshev()
         return r < -tol
 
-    def remove_redundancy(self, tol=1e-8) -> "Polytope":
-        """Minimal representation; one LP per surviving row.
+    def vertices(self) -> np.ndarray:
+        """Vertex set, one row per vertex; computed once and cached.
 
-        Near-duplicate rows are collapsed first so the LP loop sees each
-        halfspace once.
+        One qhull halfspace intersection seeded at the Chebyshev center, or
+        the closed-form interval in one dimension.  The polytope must be
+        bounded and full-dimensional: an empty or lower-dimensional one
+        raises InfeasibleError, an unbounded one ValueError, and a qhull
+        failure NumericalError.
+        """
+        if self._verts is not None:
+            return self._verts
+        center, radius = self.chebyshev()
+        if radius <= FLAT_TOL:
+            raise InfeasibleError("polytope is empty or lower-dimensional "
+                                  f"(Chebyshev radius {radius:.2e})")
+        p = self.normalized()
+        if self.dim == 1:
+            g = p.G[:, 0]
+            if not (np.any(g > 0.0) and np.any(g < 0.0)):
+                raise ValueError("polytope is unbounded")
+            verts = np.array([[np.max(p.w[g < 0.0] / g[g < 0.0])],
+                              [np.min(p.w[g > 0.0] / g[g > 0.0])]])
+        else:
+            if p.n_rows <= self.dim:
+                raise ValueError("polytope is unbounded")
+            try:
+                # an unbounded polytope puts the seed on its dual hull: the
+                # intersections divide by zero there and come out non-finite
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    hs = HalfspaceIntersection(
+                        np.hstack([p.G, -p.w[:, None]]), center)
+            except QhullError as exc:
+                raise NumericalError(
+                    f"qhull halfspace intersection failed: {exc}") from None
+            verts = hs.intersections
+            if not np.all(np.isfinite(verts)):
+                raise ValueError("polytope is unbounded")
+        object.__setattr__(self, "_verts", verts)
+        return verts
+
+    def remove_redundancy(self, tol=FACET_TOL) -> "Polytope":
+        """Minimal representation, read off the vertex set.
+
+        Near-duplicate rows are collapsed first (the first copy stays).  A
+        remaining row stays when the vertices within `tol` of its hyperplane
+        span a facet, a (d-1)-dimensional face; of several rows on one facet
+        the last stays.  The result is a row subset of `normalized()` in the
+        original order and carries the vertex set along.  An empty polytope
+        comes back normalized; a lower-dimensional one raises InfeasibleError.
         """
         p = self.normalized()
-        if p.n_rows == 0 or p.is_empty():
+        if p.n_rows == 0 or self.is_empty():
             return p
-        keep_rows: list[int] = []
-        for i in range(p.n_rows):
-            dup = False
-            for j in keep_rows:
-                if (np.abs(p.G[i] - p.G[j]).max() <= 1e-9 and
-                        abs(p.w[i] - p.w[j]) <= 1e-9 * (1.0 + abs(p.w[j]))):
-                    dup = True
-                    break
-            if not dup:
-                keep_rows.append(i)
-        G, w = p.G[keep_rows], p.w[keep_rows]
-
-        alive = list(range(G.shape[0]))
+        verts = self.vertices()
+        G, w = _distinct_rows(p.G, p.w)
+        slack = w[:, None] - G @ verts.T
+        row_of_facet: dict[tuple[int, ...], int] = {}
         for i in range(G.shape[0]):
-            others = [j for j in alive if j != i]
-            if not others:
-                continue
-            relaxed_w = w.copy()
-            relaxed_w[i] += 1.0
-            rows = others + [i]
-            res = lp.solve_lp(-G[i], A_ub=G[rows], b_ub=relaxed_w[rows])
-            if res.status == lp.UNBOUNDED:
-                continue  # the face extends to infinity: certainly not redundant
-            if res.status != lp.OPTIMAL:
-                raise NumericalError(f"redundancy LP status {res.status}")
-            if -res.fun <= w[i] + tol:
-                alive.remove(i)
-        return Polytope(G[alive], w[alive])
+            on = np.flatnonzero(slack[i] <= tol)
+            if _spans_facet(verts[on], self.dim, tol):
+                row_of_facet[tuple(on)] = i
+        keep = sorted(row_of_facet.values())
+        return Polytope(G[keep], w[keep], _verts=verts)
 
     def facet_point(self, i: int) -> np.ndarray | None:
-        """Chebyshev center of facet i (None when the facet LP is infeasible)."""
+        """Centroid of the vertices on row i's hyperplane (None when none lie on it)."""
         p = self.normalized()
-        d = self.dim
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        rows = [j for j in range(p.n_rows) if j != i]
-        A = np.hstack([p.G[rows], np.ones((len(rows), 1))])
-        Ae = np.hstack([p.G[i].reshape(1, -1), np.zeros((1, 1))])
-        bounds = [(None, None)] * d + [(0.0, 1e12)]
-        res = lp.solve_lp(c, A_ub=A, b_ub=p.w[rows], A_eq=Ae, b_eq=[p.w[i]],
-                          bounds=bounds)
-        if res.status != lp.OPTIMAL:
+        verts = self.vertices()
+        on = p.w[i] - verts @ p.G[i] <= FACET_TOL
+        if not on.any():
             return None
-        return res.x[:d]
+        return verts[on].mean(axis=0)
 
     def support(self, direction) -> float:
-        """max direction @ x over the polytope (inf when unbounded)."""
-        res = lp.solve_lp(-np.asarray(direction, dtype=float),
-                          A_ub=self.G, b_ub=self.w)
-        if res.status == lp.UNBOUNDED:
-            return np.inf
-        if res.status == lp.INFEASIBLE:
-            raise InfeasibleError("support of empty polytope")
-        return -res.fun
+        """max direction @ x over the polytope, attained at a vertex."""
+        return float(np.max(self.vertices() @ np.asarray(direction, dtype=float)))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = 1.0
-            hi[k] = self.support(e)
-            lo[k] = -self.support(-e)
-        return lo, hi
+        verts = self.vertices()
+        return verts.min(axis=0), verts.max(axis=0)
 
     def to_dict(self) -> dict:
         return {"G": self.G.tolist(), "w": self.w.tolist()}
@@ -180,6 +196,30 @@ class Polytope:
     @staticmethod
     def from_dict(d: dict) -> "Polytope":
         return Polytope.from_rows(d["G"], d["w"])
+
+
+def _distinct_rows(G, w) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with near-duplicates dropped; the first copy of each stays."""
+    keep: list[int] = []
+    for i in range(G.shape[0]):
+        if keep:
+            Gk, wk = G[keep], w[keep]
+            dup = ((np.abs(Gk - G[i]).max(axis=1) <= 1e-9)
+                   & (np.abs(w[i] - wk) <= 1e-9 * (1.0 + np.abs(wk))))
+            if dup.any():
+                continue
+        keep.append(i)
+    return G[keep], w[keep]
+
+
+def _spans_facet(points, dim: int, tol: float) -> bool:
+    """Whether the points span a (dim-1)-dimensional affine set."""
+    if points.shape[0] < dim:
+        return False
+    if dim == 1:
+        return True
+    s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return bool(s[dim - 2] > tol)
 
 
 def box_polytope(lo, hi) -> Polytope:
@@ -194,8 +234,8 @@ def fourier_motzkin(A, b, eliminate, prune_tol=1e-8) -> tuple[np.ndarray, np.nda
     """Project {x : A x <= b} onto the coordinates not in `eliminate`.
 
     Eliminated columns are removed one at a time; after each elimination the
-    system is pruned by LP redundancy removal to keep the row count from
-    exploding.  Returns rows over the surviving coordinates, in their original
+    system is pruned by vertex-based redundancy removal to keep the row count
+    from exploding.  Returns rows over the surviving coordinates, in their original
     order.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float)).copy()

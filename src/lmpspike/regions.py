@@ -44,9 +44,9 @@ def feasible_set(problem: MPQPProblem, box_lo, box_hi,
     b = np.concatenate([problem.b, box.w])
     try:
         F, c = fourier_motzkin(A, b, eliminate=range(n_g), prune_tol=prune_tol)
-    except InfeasibleError:
-        raise InfeasibleError("feasible parameter set is empty") from None
-    theta_space = Polytope.from_rows(F, c).remove_redundancy()
+        theta_space = Polytope.from_rows(F, c).remove_redundancy()
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"feasible parameter set: {exc}") from None
     if theta_space.is_empty():
         raise InfeasibleError("feasible parameter set is empty")
     return theta_space
@@ -152,11 +152,12 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
     poly = _region_polytope(problem, kkt, theta_space)
     if poly.is_empty():
         return None, f"partition {partition}: empty region"
-    poly = poly.remove_redundancy()
-    center, radius = poly.chebyshev()
+    _, radius = poly.chebyshev()
     if radius < min_radius:
         return None, (f"partition {partition}: lower-dimensional region "
                       f"(radius {radius:.2e})")
+    poly = poly.remove_redundancy()
+    center, radius = poly.chebyshev()
     C, c = _lmp_map_from_kkt(problem, problem.ptdf, kkt)
     region = CriticalRegion(id=-1, partition=partition, polytope=poly,
                             lmp_C=C, lmp_c=c, dispatch_G=kkt.Gg,

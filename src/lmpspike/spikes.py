@@ -20,12 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import lp, qp
+from . import qp
 from .errors import ConfigError, InfeasibleError
 from .opf import LMPVector
 from .regions import CriticalRegion, RegionDecomposition
 
 UNREACHABLE = float("inf")
+# Minima whose rates agree to this relative tolerance tie, so rounding noise
+# never picks the winner: between the sides of a node '-' wins a tie, between
+# the regions of one side the lower region id.
+RATE_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,9 @@ def minimize_rate_piece(rf: RateFunction, region: CriticalRegion, node: int,
 
     The piece is the closure of {theta in the region interior : price at
     `node` beyond the band on side `sign`}; emptiness of the open piece is
-    decided by a support LP before any minimization.
+    decided by the price extreme over the region's vertices before any
+    minimization, and the QP starts from that extreme vertex (from the
+    region's Chebyshev center when the price is constant).
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -152,12 +158,14 @@ def minimize_rate_piece(rf: RateFunction, region: CriticalRegion, node: int,
         if not in_spike:
             return None
         G, w = poly.G, poly.w
+        start = region.chebyshev_center
     else:
         direction = crow if sign == "+" else -crow
-        res = lp.solve_lp(-direction, A_ub=poly.G, b_ub=poly.w)
-        if res.status != lp.OPTIMAL:
-            return None  # empty or unbounded region slice: nothing to spike
-        extreme = -res.fun + (cval if sign == "+" else -cval)
+        verts = poly.vertices()
+        values = verts @ direction
+        k = int(np.argmax(values))
+        start = verts[k]
+        extreme = float(values[k]) + (cval if sign == "+" else -cval)
         threshold = alpha if sign == "+" else -alpha
         if extreme <= threshold + strict_tol:
             return None  # price never exits the band inside this region
@@ -171,7 +179,7 @@ def minimize_rate_piece(rf: RateFunction, region: CriticalRegion, node: int,
     H = rf.precision
     h = -H @ rf.mu_theta
     try:
-        res = qp.solve_qp(H, h, A_in=G, b_in=w)
+        res = qp.solve_qp(H, h, A_in=G, b_in=w, x0=start)
     except InfeasibleError:
         return None
     theta_star = res.x
@@ -211,6 +219,16 @@ class SpikeAnalysis:
         return sorted(self.node_rates)
 
 
+def _beats(rate: float, key, best_rate: float, best_key) -> bool:
+    """Whether a minimum beats the incumbent; on a tie the smaller key wins."""
+    if math.isfinite(rate) and math.isfinite(best_rate):
+        tied = abs(rate - best_rate) <= RATE_TIE_RTOL * max(abs(rate),
+                                                            abs(best_rate))
+    else:
+        tied = rate == best_rate
+    return key < best_key if tied else rate < best_rate
+
+
 def decay_rates(decomposition: RegionDecomposition, rf: RateFunction,
                 spec: SpikeSpec) -> SpikeAnalysis:
     """Minimize the rate over every per-node spike piece and aggregate.
@@ -232,7 +250,8 @@ def decay_rates(decomposition: RegionDecomposition, rf: RateFunction,
                 piece = minimize_rate_piece(rf, region, node, sign, spec)
                 if piece is None:
                     continue
-                if best is None or piece.rate < best.rate:
+                if best is None or _beats(piece.rate, piece.region_id,
+                                          best.rate, best.region_id):
                     best = piece
             if best is None:
                 per_side[(node, sign)] = SpikeDecayResult(
@@ -311,7 +330,8 @@ def write_decay_csv(analysis: SpikeAnalysis, ranking: NodeRanking, path,
             minus = analysis.result(node, "-")
             plus = analysis.result(node, "+")
             rate_i = analysis.node_rates[node]
-            winner = minus if minus.rate <= plus.rate else plus
+            # key 0 for '-' below key 1 for '+': '-' wins a tie
+            winner = plus if _beats(plus.rate, 1, minus.rate, 0) else minus
             theta_cols = ([repr(float(v)) for v in winner.theta_star]
                           if winner.theta_star is not None else [""] * n_t)
             writer.writerow(

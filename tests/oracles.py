@@ -3,7 +3,8 @@
 Everything here avoids the package's iterative solvers and geometric
 exploration: optima come from exhaustive enumeration of candidate binding
 sets, prices on dense parameter grids from vectorized affine evaluation per
-candidate, and tail probabilities from the closed-form normal distribution.
+candidate, tail probabilities from the closed-form normal distribution, and
+polytope operations from one HiGHS LP per row or direction.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import itertools
 
 import numpy as np
 from scipy.stats import norm
+
+from lmpspike import lp
+from lmpspike.errors import InfeasibleError, NumericalError
+from lmpspike.polytope import Polytope
 
 
 def brute_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
@@ -190,3 +195,83 @@ def toy2r_lmp(theta: float) -> tuple[float, float]:
     if theta < 6.0:
         return 4.0, 16.0 - theta
     return 10.0 - theta, 10.0 - theta
+
+
+# -- LP reference polytope operations --------------------------------------------
+
+def lp_remove_redundancy(poly: Polytope, tol=1e-8) -> Polytope:
+    """Minimal representation; one LP per surviving row.
+
+    Near-duplicate rows are collapsed first so the LP loop sees each
+    halfspace once.
+    """
+    p = poly.normalized()
+    if p.n_rows == 0 or p.is_empty():
+        return p
+    keep_rows: list[int] = []
+    for i in range(p.n_rows):
+        dup = False
+        for j in keep_rows:
+            if (np.abs(p.G[i] - p.G[j]).max() <= 1e-9 and
+                    abs(p.w[i] - p.w[j]) <= 1e-9 * (1.0 + abs(p.w[j]))):
+                dup = True
+                break
+        if not dup:
+            keep_rows.append(i)
+    G, w = p.G[keep_rows], p.w[keep_rows]
+
+    alive = list(range(G.shape[0]))
+    for i in range(G.shape[0]):
+        others = [j for j in alive if j != i]
+        if not others:
+            continue
+        relaxed_w = w.copy()
+        relaxed_w[i] += 1.0
+        rows = others + [i]
+        res = lp.solve_lp(-G[i], A_ub=G[rows], b_ub=relaxed_w[rows])
+        if res.status == lp.UNBOUNDED:
+            continue  # the face extends to infinity: certainly not redundant
+        if res.status != lp.OPTIMAL:
+            raise NumericalError(f"redundancy LP status {res.status}")
+        if -res.fun <= w[i] + tol:
+            alive.remove(i)
+    return Polytope(G[alive], w[alive])
+
+
+def lp_facet_point(poly: Polytope, i: int) -> np.ndarray | None:
+    """Chebyshev center of facet i (None when the facet LP is infeasible)."""
+    p = poly.normalized()
+    d = poly.dim
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    rows = [j for j in range(p.n_rows) if j != i]
+    A = np.hstack([p.G[rows], np.ones((len(rows), 1))])
+    Ae = np.hstack([p.G[i].reshape(1, -1), np.zeros((1, 1))])
+    bounds = [(None, None)] * d + [(0.0, 1e12)]
+    res = lp.solve_lp(c, A_ub=A, b_ub=p.w[rows], A_eq=Ae, b_eq=[p.w[i]],
+                      bounds=bounds)
+    if res.status != lp.OPTIMAL:
+        return None
+    return res.x[:d]
+
+
+def lp_support(poly: Polytope, direction) -> float:
+    """max direction @ x over the polytope (inf when unbounded)."""
+    res = lp.solve_lp(-np.asarray(direction, dtype=float),
+                      A_ub=poly.G, b_ub=poly.w)
+    if res.status == lp.UNBOUNDED:
+        return np.inf
+    if res.status == lp.INFEASIBLE:
+        raise InfeasibleError("support of empty polytope")
+    return -res.fun
+
+
+def lp_bounding_box(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.empty(poly.dim)
+    hi = np.empty(poly.dim)
+    for k in range(poly.dim):
+        e = np.zeros(poly.dim)
+        e[k] = 1.0
+        hi[k] = lp_support(poly, e)
+        lo[k] = -lp_support(poly, -e)
+    return lo, hi

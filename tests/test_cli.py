@@ -67,6 +67,31 @@ def test_rank_with_node_filter(toy_config):
     assert len(csv_path.read_text().strip().splitlines()) == 2
 
 
+def test_rank_with_explicit_bands(toy_config):
+    config_path, tmp = toy_config
+    doc = json.loads(config_path.read_text())
+    doc.pop("err_rel")
+    # prices at the mean injection are (4, 11)
+    doc["alpha_minus"] = [3.0, 9.0]
+    doc["alpha_plus"] = [5.0, 13.0]
+    config_path.write_text(json.dumps(doc))
+    assert main(["rank", "--config", str(config_path)]) == 0
+    csv_path = tmp / "out" / "explicit_band" / "decay_rates.csv"
+    rows = csv_path.read_text().strip().splitlines()
+    assert len(rows) == 3
+    assert rows[2].split(",")[3] != ""  # bus 2 leaves its band: finite rate
+
+
+def test_err_rel_with_explicit_bands_exits_2(toy_config, capsys):
+    config_path, _ = toy_config
+    doc = json.loads(config_path.read_text())
+    doc["alpha_minus"] = [3.0, 9.0]
+    doc["alpha_plus"] = [5.0, 13.0]
+    config_path.write_text(json.dumps(doc))
+    assert main(["rank", "--config", str(config_path)]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
 def test_mc_command_and_determinism(toy_config):
     config_path, tmp = toy_config
     assert main(["mc", "--config", str(config_path)]) == 0
@@ -129,6 +154,15 @@ def test_infeasible_forecast_exits_3(toy_config):
     doc.pop("forecast_fraction")
     doc["mu_theta"] = [15.0]  # beyond total demand: dispatch infeasible
     config_path.write_text(json.dumps(doc))
+    assert main(["rank", "--config", str(config_path)]) == 3
+
+
+def test_lower_dimensional_parameter_set_exits_3(toy_config):
+    config_path, tmp = toy_config
+    # the bus-2 unit must run at 10 or more, which pins the injection to 0
+    case = json.loads((tmp / "case.json").read_text())
+    case["generators"][1]["gmin"] = 10
+    (tmp / "case.json").write_text(json.dumps(case))
     assert main(["rank", "--config", str(config_path)]) == 3
 
 

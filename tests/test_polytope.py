@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
-from lmpspike.errors import InfeasibleError
+from lmpspike import lp, polytope
+from lmpspike.errors import InfeasibleError, NumericalError
 from lmpspike.polytope import Polytope, box_polytope, fourier_motzkin
+
+from oracles import (lp_bounding_box, lp_facet_point, lp_remove_redundancy,
+                     lp_support)
 
 
 def unit_square():
@@ -93,3 +100,150 @@ def test_roundtrip_dict():
     p = unit_square()
     q = Polytope.from_dict(p.to_dict())
     assert np.array_equal(p.G, q.G) and np.array_equal(p.w, q.w)
+
+
+def test_interval_vertices_in_closed_form():
+    p = Polytope(np.array([[2.0], [-1.0], [1.0]]), np.array([4.0, 1.0, 3.0]))
+    assert p.vertices().tolist() == [[-1.0], [2.0]]
+
+
+def test_lower_dimensional_polytope_has_no_vertices():
+    segment = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                 [0.0, -1.0]]), np.array([1.0, -1.0, 1.0, 0.0]))
+    with pytest.raises(InfeasibleError, match="lower-dimensional"):
+        segment.remove_redundancy()
+
+
+def test_unbounded_polytope_is_rejected():
+    strip = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                     np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="unbounded"):
+        strip.vertices()
+
+
+def test_qhull_failure_raises_numerical_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise QhullError("QH6271 qhull precision error")
+    monkeypatch.setattr(polytope, "HalfspaceIntersection", failing)
+    with pytest.raises(NumericalError, match="qhull"):
+        unit_square().vertices()
+
+
+def test_is_empty_propagates_solver_failure(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("LP solver failed with status 4")
+    monkeypatch.setattr(lp, "solve_lp", failing)
+    with pytest.raises(NumericalError):
+        unit_square().is_empty()
+
+
+# -- vertex-backed operations against the LP references ------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def bounded_polytopes(draw, min_dim=1, max_dim=5):
+    """A box around the origin cut by integer halfspaces that keep it inside."""
+    d = draw(st.integers(min_dim, max_dim))
+    n_cuts = draw(st.integers(0, 2 * d + 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    cuts = np.array(draw(st.lists(coeffs, min_size=n_cuts, max_size=n_cuts)),
+                    dtype=float).reshape(n_cuts, d)
+    offsets = np.array(draw(st.lists(st.integers(1, 6), min_size=n_cuts,
+                                     max_size=n_cuts)), dtype=float)
+    half = float(draw(st.integers(2, 5)))
+    G = np.vstack([np.eye(d), -np.eye(d), cuts])
+    w = np.concatenate([np.full(2 * d, half), offsets])
+    order = draw(st.permutations(range(G.shape[0])))
+    return Polytope(G[order], w[order])
+
+
+@st.composite
+def padded_polytopes(draw):
+    """Bounded polytopes plus duplicate, rescaled, loose, tangent and shaving rows.
+
+    A "nudged" copy sits 8e-9 outside its facet: past the duplicate
+    threshold, within the facet tolerance.  A "shaving" row cuts 1e-10
+    into a vertex, less than the tolerance.
+    """
+    base = draw(bounded_polytopes())
+    G, w = list(base.G), list(base.w)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, base.n_rows - 1))
+        unit = base.G[i] / np.linalg.norm(base.G[i])
+        kind = draw(st.sampled_from(["duplicate", "scaled", "loose", "nudged",
+                                     "tangent", "shaving"]))
+        if kind == "duplicate":
+            G.append(base.G[i]), w.append(base.w[i])
+        elif kind == "scaled":
+            G.append(2.5 * base.G[i]), w.append(2.5 * base.w[i])
+        elif kind == "loose":
+            slack = draw(st.sampled_from([1e-4, 0.5, 3.0]))
+            G.append(base.G[i]), w.append(base.w[i] + slack)
+        elif kind == "nudged":
+            G.append(unit), w.append(base.w[i] / np.linalg.norm(base.G[i]) + 8e-9)
+        else:
+            normal = np.array(draw(st.lists(st.integers(-2, 2), min_size=base.dim,
+                                            max_size=base.dim)), dtype=float)
+            depth = 1e-10 * np.linalg.norm(normal) if kind == "shaving" else 0.0
+            G.append(normal), w.append(lp_support(base, normal) - depth)
+    order = draw(st.permutations(range(len(G))))
+    return Polytope(np.asarray(G)[order], np.asarray(w)[order])
+
+
+def assert_same_rows(poly):
+    ours, ref = poly.remove_redundancy(), lp_remove_redundancy(poly)
+    assert np.array_equal(ours.G, ref.G) and np.array_equal(ours.w, ref.w)
+    return ours
+
+
+@PROPERTY
+@given(bounded_polytopes())
+def test_redundancy_matches_lp_reference(poly):
+    assert_same_rows(poly)
+
+
+@PROPERTY
+@given(padded_polytopes())
+def test_redundancy_with_injected_rows_matches_lp_reference(poly):
+    assert_same_rows(poly)
+
+
+@PROPERTY
+@given(bounded_polytopes(),
+       st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+def test_support_and_box_match_lp_reference(poly, direction):
+    u = np.asarray(direction[:poly.dim])
+    assert poly.support(u) == pytest.approx(lp_support(poly, u), abs=1e-9)
+    for ours, ref in zip(poly.bounding_box(), lp_bounding_box(poly)):
+        assert np.allclose(ours, ref, rtol=0.0, atol=1e-9)
+
+
+@PROPERTY
+@given(bounded_polytopes())
+def test_facet_points_share_the_lp_reference_facet(poly):
+    """Both points lie on their facet and on no other row of the minimal form."""
+    minimal = assert_same_rows(poly)
+    for i in range(minimal.n_rows):
+        for point in (minimal.facet_point(i), lp_facet_point(minimal, i)):
+            tight = np.flatnonzero(minimal.w - minimal.G @ point <= 1e-9)
+            assert tight.tolist() == [i]
+            assert minimal.contains(point, tol=1e-9)
+
+
+@PROPERTY
+@given(bounded_polytopes(min_dim=2), st.data())
+def test_projection_matches_lp_reference(poly, data):
+    """Supports of the projection are supports of the lifted direction, and
+    the pruned projection has no redundant row left."""
+    n_elim = data.draw(st.integers(1, min(2, poly.dim - 1)))
+    keep = poly.dim - n_elim
+    G, w = fourier_motzkin(poly.G, poly.w, eliminate=range(keep, poly.dim))
+    proj = Polytope.from_rows(G, w)
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=keep,
+                                    max_size=keep)))
+    lifted = np.concatenate([u, np.zeros(n_elim)])
+    assert proj.support(u) == pytest.approx(lp_support(poly, lifted), abs=1e-9)
+    assert lp_remove_redundancy(proj).n_rows == proj.n_rows

@@ -7,11 +7,11 @@ import pytest
 
 from lmpspike import (ConfigError, RateFunction, SpikeSpec,
                       approx_probability, build_thresholds, decay_rates,
-                      minimize_rate_piece, rank_nodes)
+                      minimize_rate_piece, rank_nodes, spikes)
 from lmpspike.regions import CriticalRegion, RegionDecomposition
 from lmpspike.opf import OptimalPartition
 from lmpspike.polytope import box_polytope
-from lmpspike.spikes import write_decay_csv
+from lmpspike.spikes import PieceMinimum, write_decay_csv
 
 from oracles import grid_partition_map, grid_rate_minimum, toy2r_lmp
 
@@ -326,3 +326,31 @@ def test_decay_csv_layout(tmp_path, toy2r):
     rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
     assert float(rows["2"][3]) == pytest.approx(0.5)
     assert rows["2"][-1] == "1"
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_ulp_ties_go_to_minus_side_then_lower_region(monkeypatch, tmp_path,
+                                                     toward):
+    """Rates one ulp apart tie: '-' beats '+', region 0 beats region 1."""
+    rate = 0.7
+    nudged = math.nextafter(rate, toward)
+    regions = [synthetic_region([[1.0]], [0.0], [-1.0], [1.0], rid=k)
+               for k in range(2)]
+    decomp = RegionDecomposition(regions=regions,
+                                 theta_space=regions[0].polytope)
+
+    def piece(rf, region, node, sign, spec):
+        value = nudged if region.id == 1 or sign == "+" else rate
+        theta = np.array([0.5 if sign == "+" else -0.5])
+        return PieceMinimum(rate=value, theta=theta, region_id=region.id)
+
+    monkeypatch.setattr(spikes, "minimize_rate_piece", piece)
+    spec = SpikeSpec(alpha_minus=np.array([-0.25]), alpha_plus=np.array([0.25]),
+                     lmp_at_mean=np.array([0.0]))
+    analysis = decay_rates(decomp, RateFunction([0.0], np.eye(1)), spec)
+    assert analysis.result(0, "-").region_id == 0
+    assert analysis.result(0, "+").region_id == 0
+    path = tmp_path / "decay.csv"
+    write_decay_csv(analysis, rank_nodes(analysis), path)
+    row = path.read_text().strip().splitlines()[1].split(",")
+    assert row[4:6] == [repr(-0.5), "0"]  # theta_star_1 and region of '-'
