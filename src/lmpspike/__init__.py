@@ -17,13 +17,13 @@ from .opf import (LMPVector, MPQPProblem, OPFSolution, OptimalPartition,
                   solve_opf)
 from .polytope import Polytope
 from .regions import (CriticalRegion, RegionDecomposition, enumerate_regions,
-                      feasible_set, load_decomposition, locate_region,
+                      feasible_set, load_decomposition, locate, locate_region,
                       region_lmp_map, save_decomposition)
-from .spikes import (NodeRanking, RateFunction, SpikeAnalysis, SpikeSpec,
+from .spikes import (GaussianModel, NodeRanking, SpikeAnalysis, SpikeSpec,
                      approx_probability, build_thresholds, decay_rates,
                      minimize_rate_piece, rank_nodes)
-from .stochastic import (CovarianceSpec, GaussianModel, MCResult,
-                         build_covariance, compare_ranking, empirical_density,
+from .stochastic import (CovarianceSpec, MCResult, build_covariance,
+                         compare_ranking, empirical_density,
                          mc_spike_probabilities, sample)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,6 +61,11 @@ class Generator:
     def __post_init__(self):
         if self.g_min > self.g_max:
             raise CaseError(f"generator at bus {self.bus}: g_min > g_max")
+        if self.g_min == self.g_max:
+            # a fixed unit makes the dispatch set lower-dimensional
+            raise CaseError(
+                f"generator at bus {self.bus}: fixed output g_min == g_max; "
+                "fold it into the bus load instead")
         if not self.cost_quadratic > 0.0:
             raise CaseError(
                 f"generator at bus {self.bus}: quadratic cost must be positive")

@@ -26,11 +26,11 @@ from .opf import MPQPProblem, assemble_mpqp, compute_lmp, solve_opf
 from .polytope import Polytope
 from .regions import (RegionDecomposition, enumerate_regions, feasible_set,
                       save_decomposition)
-from .spikes import (RateFunction, SpikeSpec, build_thresholds, decay_rates,
+from .spikes import (GaussianModel, SpikeSpec, build_thresholds, decay_rates,
                      rank_nodes, write_decay_csv)
-from .stochastic import (CovarianceSpec, GaussianModel, build_covariance,
-                         compare_ranking, mc_spike_probabilities, sample,
-                         write_histograms, write_mc_csv)
+from .stochastic import (CovarianceSpec, build_covariance, compare_ranking,
+                         mc_spike_probabilities, sample, write_histograms,
+                         write_mc_csv)
 
 
 @dataclass
@@ -114,7 +114,6 @@ class Study:
     theta_space: Polytope
     installed: np.ndarray
     model: GaussianModel
-    rate_fn: RateFunction
     decomposition: RegionDecomposition
     lmp_at_mean: np.ndarray
 
@@ -162,14 +161,12 @@ def build_study(config: AnalysisConfig) -> Study:
         sigma = build_covariance(case, CovarianceSpec(
             q=config.q, installed=installed, kappa=config.kappa,
             tau_squared=config.tau_squared))
-    model = GaussianModel(mu, sigma)
-    rate_fn = RateFunction(mu, sigma, epsilon=config.epsilon)
+    model = GaussianModel(mu, sigma, epsilon=config.epsilon)
     decomposition = enumerate_regions(problem, theta_space)
     lmp_at_mean = compute_lmp(solve_opf(problem, mu), ptdf).values
     return Study(config=config, case=case, problem=problem,
                  theta_space=theta_space, installed=installed, model=model,
-                 rate_fn=rate_fn, decomposition=decomposition,
-                 lmp_at_mean=lmp_at_mean)
+                 decomposition=decomposition, lmp_at_mean=lmp_at_mean)
 
 
 def _prepare_outdir(config: AnalysisConfig, sub: str | None = None) -> Path:
@@ -203,7 +200,7 @@ def cmd_rank(study: Study, echo=print) -> list[Path]:
     for err, label in study.band_points():
         out = _prepare_outdir(study.config, label)
         spec = study.spike_spec(err)
-        analysis = decay_rates(study.decomposition, study.rate_fn, spec)
+        analysis = decay_rates(study.decomposition, study.model, spec)
         ranking = rank_nodes(analysis)
         path = out / "decay_rates.csv"
         write_decay_csv(analysis, ranking, path, node_ids=node_ids)
@@ -228,7 +225,7 @@ def cmd_mc(study: Study, echo=print) -> list[Path]:
         mc = mc_spike_probabilities(samples, study.decomposition, spec,
                                     problem=study.problem, seed=cfg.mc_seed,
                                     bins=cfg.mc_bins)
-        analysis = decay_rates(study.decomposition, study.rate_fn, spec)
+        analysis = decay_rates(study.decomposition, study.model, spec)
         ranking = rank_nodes(analysis)
         comparison = compare_ranking(mc, ranking)
         mc_path = out / "mc_probabilities.csv"

@@ -4,9 +4,10 @@ For a fixed binding set the KKT system is affine in the injection theta, so
 dispatch, duals and nodal prices are affine on the polytope where that
 binding set stays optimal.  This module projects out the feasible parameter
 set, enumerates all full-dimensional critical regions by stepping across
-facets, attaches the affine price/dispatch maps, and answers point location
-with a lexicographic tie-break on the shared faces where the price map may
-jump.
+facets, and attaches the affine price/dispatch maps.  Point location
+(`locate`) is the one region lookup every caller uses, the Monte Carlo fast
+path included; it breaks ties lexicographically on the shared faces where the
+price map may jump.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .opf import (LINE_LOWER, LINE_UPPER, MPQPProblem, OptimalPartition,
 from .polytope import Polytope, box_polytope, fourier_motzkin
 
 DEFAULT_MAX_EXPANSIONS = 10 ** 6
+# points tested per stacked membership product in `locate`
+LOCATE_CHUNK = 4096
 
 
 def feasible_set(problem: MPQPProblem, box_lo, box_hi,
@@ -297,47 +300,64 @@ def estimate_coverage(decomp: RegionDecomposition, n_samples: int = 20000,
         pts = rng.uniform(lo, hi, size=(batch, decomp.theta_space.dim))
         mask = np.all(pts @ decomp.theta_space.G.T
                       <= decomp.theta_space.w + 1e-12, axis=1)
-        pts = pts[mask]
-        if pts.shape[0] == 0:
-            continue
-        take = min(pts.shape[0], n_samples - inside)
-        pts = pts[:take]
-        inside += take
-        hit = np.zeros(take, dtype=bool)
-        for r in decomp.regions:
-            tol = 1e-9 * (1.0 + np.abs(r.polytope.w))
-            hit |= np.all(pts @ r.polytope.G.T <= r.polytope.w + tol, axis=1)
-        covered += int(hit.sum())
+        pts = pts[mask][:n_samples - inside]
+        inside += pts.shape[0]
+        covered += int(np.count_nonzero(locate(decomp, pts) >= 0))
     return covered / n_samples
+
+
+def locate(decomp: RegionDecomposition, thetas) -> np.ndarray:
+    """Index of the region whose closure holds each row of `thetas`, or -1.
+
+    Membership is G x <= w + 1e-9 (1 + |w|).  On shared faces several
+    closures hold the point and their maps may disagree; the candidate with
+    the lexicographically smallest price vector wins (the lower index on
+    equal prices), which pins a single-valued price map on the whole set.
+    Every region's rows are padded to a common count with rows 0 <= 0 and
+    stacked, so each chunk of points costs one product and one reduction.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    regions = decomp.regions
+    d = decomp.theta_space.dim
+    n_rows = max(r.polytope.n_rows for r in regions)
+    G = np.zeros((len(regions), n_rows, d))
+    bound = np.zeros((len(regions), n_rows, 1))
+    for k, r in enumerate(regions):
+        G[k, :r.polytope.n_rows] = r.polytope.G
+        bound[k, :r.polytope.n_rows, 0] = \
+            r.polytope.w + 1e-9 * (1.0 + np.abs(r.polytope.w))
+    G = G.reshape(-1, d)
+    idx = np.full(thetas.shape[0], -1, dtype=np.intp)
+    for lo in range(0, thetas.shape[0], LOCATE_CHUNK):
+        pts = thetas[lo:lo + LOCATE_CHUNK]
+        lhs = (G @ pts.T).reshape(len(regions), n_rows, -1)
+        inside = np.all(lhs <= bound, axis=1)  # regions x points
+        count = np.count_nonzero(inside, axis=0)
+        idx[lo:lo + pts.shape[0]] = np.where(count > 0,
+                                             inside.argmax(axis=0), -1)
+        for i in np.flatnonzero(count > 1):  # rare: points on shared faces
+            idx[lo + i] = min(np.flatnonzero(inside[:, i]),
+                              key=lambda k: tuple(regions[k].lmp_at(pts[i])))
+    return idx
 
 
 def locate_region(decomp: RegionDecomposition, theta,
                   tol: float = 1e-9) -> tuple[CriticalRegion, np.ndarray]:
-    """Region containing theta and its price vector.
+    """Region containing theta and its price vector, by the `locate` rule.
 
-    On shared faces several region closures contain the point and their maps
-    may disagree; the candidate with the lexicographically smallest price
-    vector wins, which pins a single-valued price map on the whole set.
+    Raises InfeasibleError outside the parameter set (checked to `tol`); a
+    point in a numeric sliver between regions takes the least-violated
+    closure.
     """
     theta = np.asarray(theta, dtype=float)
     if not decomp.theta_space.contains(theta, tol=max(tol, 1e-9)):
         raise InfeasibleError("theta outside the feasible parameter set")
-    candidates = [r for r in decomp.regions if r.polytope.contains(theta, tol)]
-    if not candidates:
-        # numeric sliver between regions: take the least-violated closure
-        def violation(r):
-            return float((r.polytope.G @ theta - r.polytope.w).max())
-        best = min(decomp.regions, key=violation)
-        return best, best.lmp_at(theta)
-    if len(candidates) == 1:
-        r = candidates[0]
-        return r, r.lmp_at(theta)
-    best, best_lmp = None, None
-    for r in candidates:
-        vals = r.lmp_at(theta)
-        if best is None or tuple(vals) < tuple(best_lmp):
-            best, best_lmp = r, vals
-    return best, best_lmp
+    k = int(locate(decomp, theta)[0])
+    if k < 0:
+        k = int(np.argmin([(r.polytope.G @ theta - r.polytope.w).max()
+                           for r in decomp.regions]))
+    region = decomp.regions[k]
+    return region, region.lmp_at(theta)
 
 
 # -- persistence --------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from . import qp
 from .errors import ConfigError, InfeasibleError
@@ -28,7 +28,7 @@ from .regions import CriticalRegion, RegionDecomposition
 UNREACHABLE = float("inf")
 # Minima whose rates agree to this relative tolerance tie, so rounding noise
 # never picks the winner: between the sides of a node '-' wins a tie, between
-# the regions of one side the lower region id.
+# the regions of one side the lower region id, in the ranking the lower node.
 RATE_TIE_RTOL = 1e-12
 
 
@@ -85,8 +85,12 @@ def build_thresholds(lmp_at_mean, err_rel: float,
                      else None)
 
 
-class RateFunction:
-    """Gaussian large-fluctuation rate: quadratic form in the precision matrix."""
+class GaussianModel:
+    """Injection model theta ~ N(mu, Sigma) and its large-fluctuation rate.
+
+    One lower Cholesky factor of Sigma serves sampling, the rate and the
+    precision matrix; `epsilon` is the noise scale of the decay asymptotics.
+    """
 
     def __init__(self, mu_theta, sigma_theta, epsilon: float = 1.0):
         self.mu_theta = np.atleast_1d(np.asarray(mu_theta, dtype=float))
@@ -94,35 +98,28 @@ class RateFunction:
         if not epsilon > 0.0:
             raise ConfigError("noise scale epsilon must be positive")
         self.epsilon = float(epsilon)
-        if self.sigma_theta.shape != (self.mu_theta.size, self.mu_theta.size):
+        n = self.mu_theta.size
+        if self.sigma_theta.shape != (n, n):
             raise ConfigError("covariance shape does not match the mean")
         try:
-            self._chol = cho_factor(self.sigma_theta, lower=True)
+            self.cholesky_lower = np.linalg.cholesky(self.sigma_theta)
         except np.linalg.LinAlgError:
             raise ConfigError("covariance must be positive definite") from None
-        self._precision = cho_solve(self._chol, np.eye(self.mu_theta.size))
-        self._precision = 0.5 * (self._precision + self._precision.T)
+        precision = cho_solve((self.cholesky_lower, True), np.eye(n))
+        self.precision = 0.5 * (precision + precision.T)
 
     @property
-    def dim(self) -> int:
-        return self.mu_theta.size
-
-    @property
-    def precision(self) -> np.ndarray:
-        return self._precision
+    def stddevs(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.sigma_theta))
 
     def rate(self, theta) -> float | np.ndarray:
         """1/2 (theta-mu)' Sigma^{-1} (theta-mu); vectorized over rows."""
         theta = np.asarray(theta, dtype=float)
         d = theta - self.mu_theta
         if d.ndim == 1:
-            return 0.5 * float(d @ cho_solve(self._chol, d))
-        sol = cho_solve(self._chol, d.T).T
+            return 0.5 * float(d @ cho_solve((self.cholesky_lower, True), d))
+        sol = cho_solve((self.cholesky_lower, True), d.T).T
         return 0.5 * np.einsum("ij,ij->i", d, sol)
-
-
-def rate(rf: RateFunction, theta):
-    return rf.rate(theta)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ class PieceMinimum:
     region_id: int
 
 
-def minimize_rate_piece(rf: RateFunction, region: CriticalRegion, node: int,
+def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
                         sign: str, spec: SpikeSpec) -> PieceMinimum | None:
     """Minimum of the rate over one spike piece, or None when the piece is empty.
 
@@ -176,14 +173,14 @@ def minimize_rate_piece(rf: RateFunction, region: CriticalRegion, node: int,
             G = np.vstack([poly.G, crow.reshape(1, -1)])
             w = np.concatenate([poly.w, [alpha - cval]])
 
-    H = rf.precision
-    h = -H @ rf.mu_theta
+    H = model.precision
+    h = -H @ model.mu_theta
     try:
         res = qp.solve_qp(H, h, A_in=G, b_in=w, x0=start)
     except InfeasibleError:
         return None
     theta_star = res.x
-    return PieceMinimum(rate=float(rf.rate(theta_star)), theta=theta_star,
+    return PieceMinimum(rate=float(model.rate(theta_star)), theta=theta_star,
                         region_id=region.id)
 
 
@@ -219,17 +216,19 @@ class SpikeAnalysis:
         return sorted(self.node_rates)
 
 
+def _tied(a: float, b: float, rel_tol: float = RATE_TIE_RTOL) -> bool:
+    """Finite values within rel_tol of each other, or equal values."""
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+    return a == b
+
+
 def _beats(rate: float, key, best_rate: float, best_key) -> bool:
     """Whether a minimum beats the incumbent; on a tie the smaller key wins."""
-    if math.isfinite(rate) and math.isfinite(best_rate):
-        tied = abs(rate - best_rate) <= RATE_TIE_RTOL * max(abs(rate),
-                                                            abs(best_rate))
-    else:
-        tied = rate == best_rate
-    return key < best_key if tied else rate < best_rate
+    return key < best_key if _tied(rate, best_rate) else rate < best_rate
 
 
-def decay_rates(decomposition: RegionDecomposition, rf: RateFunction,
+def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
                 spec: SpikeSpec) -> SpikeAnalysis:
     """Minimize the rate over every per-node spike piece and aggregate.
 
@@ -247,7 +246,7 @@ def decay_rates(decomposition: RegionDecomposition, rf: RateFunction,
         for sign in ("-", "+"):
             best: PieceMinimum | None = None
             for region in decomposition.regions:
-                piece = minimize_rate_piece(rf, region, node, sign, spec)
+                piece = minimize_rate_piece(model, region, node, sign, spec)
                 if piece is None:
                     continue
                 if best is None or _beats(piece.rate, piece.region_id,
@@ -273,7 +272,7 @@ def decay_rates(decomposition: RegionDecomposition, rf: RateFunction,
                                per_side[(node, "+")].rate)
     overall = min(node_rates.values()) if node_rates else UNREACHABLE
     return SpikeAnalysis(spec=spec, per_side=per_side, node_rates=node_rates,
-                         overall_rate=overall, epsilon=rf.epsilon)
+                         overall_rate=overall, epsilon=model.epsilon)
 
 
 @dataclass(frozen=True)
@@ -288,16 +287,29 @@ class NodeRanking:
 
 
 def rank_nodes(analysis: SpikeAnalysis) -> NodeRanking:
-    """Ascending rates; exact ties fall back to node index order."""
-    items = sorted(analysis.node_rates.items(), key=lambda kv: (kv[1], kv[0]))
-    nodes = tuple(node for node, _ in items)
-    rates = tuple(r for _, r in items)
+    """Ascending rates; rates tied within RATE_TIE_RTOL go by node index."""
+    order = sorted(analysis.node_rates, key=lambda n: (analysis.node_rates[n], n))
+    nodes = canonical_groups(order, analysis.node_rates.__getitem__,
+                             RATE_TIE_RTOL)
+    rates = tuple(analysis.node_rates[n] for n in nodes)
     finite = [r for r in rates if math.isfinite(r)]
     best = min(finite) if finite else UNREACHABLE
     scores = tuple(
         0.0 if not math.isfinite(r) else (-best / r if r > 0.0 else -1.0)
         for r in rates)
     return NodeRanking(nodes=nodes, rates=rates, normalized_scores=scores)
+
+
+def canonical_groups(order, value_of, rel_tol) -> tuple[int, ...]:
+    """Re-sort tied stretches of an ordered node list by node index."""
+    out: list[int] = []
+    group: list[int] = []
+    for n in order:
+        if group and not _tied(value_of(group[-1]), value_of(n), rel_tol):
+            out.extend(sorted(group))
+            group = []
+        group.append(n)
+    return tuple(out + sorted(group))
 
 
 def approx_probability(rate_value: float, epsilon: float = 1.0) -> float:

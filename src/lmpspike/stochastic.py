@@ -1,11 +1,13 @@
-"""Gaussian injection model and Monte Carlo validation.
+"""Injection covariance, sampling and Monte Carlo validation.
 
 The covariance of the renewable injections comes from a normalized
 graph-Laplacian kernel: C = tau^(2 kappa) (L_sym + tau^2 I)^(-kappa) over all
 buses, restricted to the renewable buses and rescaled so each standard
-deviation matches a forecast-error fraction of installed capacity.  Sampling
-uses a counter-based Philox generator keyed by (seed, chunk), so runs are
-reproducible and chunk order cannot change the stream.
+deviation matches a forecast-error fraction of installed capacity; the model
+built from it is `spikes.GaussianModel`.  Sampling uses a counter-based
+Philox generator keyed by (seed, chunk), so runs are reproducible and chunk
+order cannot change the stream.  Samples are priced through
+`regions.locate`, the same lookup and tie rule as `locate_region`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 from .errors import CaseError, ConfigError, InfeasibleError
 from .grid import GridCase, weighted_laplacian
 from .opf import MPQPProblem, compute_lmp, solve_opf
-from .regions import RegionDecomposition
-from .spikes import NodeRanking, SpikeSpec
+from .regions import RegionDecomposition, locate
+from .spikes import (GaussianModel, NodeRanking, SpikeSpec,
+                     canonical_groups)
 
 SAMPLE_CHUNK = 1 << 16
 
@@ -41,32 +44,6 @@ class CovarianceSpec:
             raise ConfigError("tau_squared must be positive")
         if np.any(installed <= 0.0):
             raise ConfigError("installed capacities must be positive")
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    mu_theta: np.ndarray
-    sigma_theta: np.ndarray
-
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu_theta, dtype=float))
-        sigma = np.atleast_2d(np.asarray(self.sigma_theta, dtype=float))
-        object.__setattr__(self, "mu_theta", mu)
-        object.__setattr__(self, "sigma_theta", sigma)
-        if sigma.shape != (mu.size, mu.size):
-            raise ConfigError("covariance shape does not match the mean")
-        try:
-            object.__setattr__(self, "_chol", np.linalg.cholesky(sigma))
-        except np.linalg.LinAlgError:
-            raise ConfigError("covariance must be positive definite") from None
-
-    @property
-    def stddevs(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.sigma_theta))
-
-    @property
-    def cholesky_lower(self) -> np.ndarray:
-        return self._chol
 
 
 def build_covariance(case: GridCase, spec: CovarianceSpec) -> np.ndarray:
@@ -154,39 +131,26 @@ class MCResult:
 
 def evaluate_lmp_samples(samples: np.ndarray, decomposition: RegionDecomposition,
                          problem: MPQPProblem | None = None):
-    """Price matrix for every sample via region lookup.
+    """Price matrix for every sample via `regions.locate`.
 
-    Samples in no region closure fall back to a direct dispatch solve when a
-    problem is supplied; samples that are infeasible outright are excluded
-    (their price rows are NaN).  Returns (lmp_matrix, feasible_mask,
-    fallback_count).
+    Each sample is priced by the map of the region `locate` assigns, so the
+    lexicographic tie rule of `locate_region` holds here too.  Samples in no
+    region closure fall back to a direct dispatch solve when a problem is
+    supplied; samples that are infeasible outright are excluded (their price
+    rows are NaN).  Returns (lmp_matrix, feasible_mask, fallback_count).
     """
     samples = np.asarray(samples, dtype=float)
-    n_s = samples.shape[0]
+    idx = locate(decomposition, samples)
     n_nodes = decomposition.regions[0].lmp_c.size
-    lmp = np.full((n_s, n_nodes), np.nan)
-    assigned = np.zeros(n_s, dtype=bool)
-    for region in decomposition.regions:
-        todo = ~assigned
-        if not todo.any():
-            break
-        pts = samples[todo]
-        tol = 1e-9 * (1.0 + np.abs(region.polytope.w))
-        inside = np.all(pts @ region.polytope.G.T <= region.polytope.w + tol,
-                        axis=1)
-        if not inside.any():
-            continue
-        idx = np.where(todo)[0][inside]
-        lmp[idx] = region.lmp_at(samples[idx])
-        assigned[idx] = True
-
+    lmp = np.full((samples.shape[0], n_nodes), np.nan)
+    for k, region in enumerate(decomposition.regions):
+        sel = np.flatnonzero(idx == k)
+        if sel.size:
+            lmp[sel] = region.lmp_at(samples[sel])
+    feasible = idx >= 0
     fallback = 0
-    feasible = assigned.copy()
-    if not assigned.all():
-        leftovers = np.where(~assigned)[0]
-        for i in leftovers:
-            if problem is None:
-                continue
+    if problem is not None:
+        for i in np.flatnonzero(~feasible):
             fallback += 1
             try:
                 sol = solve_opf(problem, samples[i])
@@ -222,13 +186,8 @@ def mc_spike_probabilities(samples: np.ndarray,
     node_counts = np.zeros(spec.n, dtype=np.int64)
     node_counts[nodes] = spikes[:, nodes].sum(axis=0)
     overall = int(np.any(spikes[:, nodes], axis=1).sum())
-    hists: dict[int, NodeHistogram] = {}
-    if with_histograms:
-        for i in nodes:
-            counts, edges = np.histogram(vals[:, i], bins=bins)
-            hists[i] = NodeHistogram(node=i, edges=edges, counts=counts,
-                                     alpha_minus=float(spec.alpha_minus[i]),
-                                     alpha_plus=float(spec.alpha_plus[i]))
+    hists = {i: _histogram(vals, i, bins, spec) for i in nodes} \
+        if with_histograms else {}
     return MCResult(n_samples=n_s, seed=seed,
                     node_spike_counts=node_counts,
                     node_spike_probs=node_counts / valid,
@@ -247,12 +206,18 @@ def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     lmp, feasible, _ = evaluate_lmp_samples(samples, decomposition, problem)
-    vals = lmp[feasible][:, node]
-    counts, edges = np.histogram(vals, bins=bins)
-    am = float(spec.alpha_minus[node]) if spec is not None else None
-    ap = float(spec.alpha_plus[node]) if spec is not None else None
-    return NodeHistogram(node=node, edges=edges, counts=counts,
-                         alpha_minus=am, alpha_plus=ap)
+    return _histogram(lmp[feasible], node, bins, spec)
+
+
+def _histogram(vals: np.ndarray, node: int, bins: int,
+               spec: SpikeSpec | None) -> NodeHistogram:
+    """Histogram of column `node` of a price matrix, with its band markers."""
+    counts, edges = np.histogram(vals[:, node], bins=bins)
+    hist = NodeHistogram(node=node, edges=edges, counts=counts)
+    if spec is not None:
+        hist.alpha_minus = float(spec.alpha_minus[node])
+        hist.alpha_plus = float(spec.alpha_plus[node])
+    return hist
 
 
 def find_modes(hist: NodeHistogram, min_separation: int = 3,
@@ -321,8 +286,10 @@ def compare_ranking(mc: MCResult, ldp: NodeRanking,
     rate_of = dict(zip(ldp.nodes, ldp.rates))
 
     mc_order = sorted(resolvable, key=lambda n: (-probs[n], n))
-    ldp_order = _canonical_rate_order(resolvable, rate_of, tie_rel_tol)
-    mc_canon = _canonical_groups(mc_order, lambda n: -probs[n], 0.0)
+    ldp_order = canonical_groups(
+        sorted(resolvable, key=lambda n: (rate_of[n], n)), rate_of.__getitem__,
+        tie_rel_tol)
+    mc_canon = canonical_groups(mc_order, lambda n: -probs[n], 0.0)
     exact = mc_canon == ldp_order
 
     tau = _kendall_tau([-probs[n] for n in resolvable],
@@ -332,27 +299,6 @@ def compare_ranking(mc: MCResult, ldp: NodeRanking,
                              resolvable_nodes=tuple(resolvable),
                              mc_order=tuple(mc_order),
                              ldp_order=tuple(ldp_order))
-
-
-def _canonical_rate_order(nodes, rate_of, rel_tol):
-    order = sorted(nodes, key=lambda n: (rate_of[n], n))
-    return tuple(_canonical_groups(order, lambda n: rate_of[n], rel_tol))
-
-
-def _canonical_groups(order, value_of, rel_tol):
-    """Re-sort tied stretches of an ordered node list by node index."""
-    out: list[int] = []
-    group: list[int] = [order[0]] if order else []
-    for n in order[1:]:
-        v0, v1 = value_of(group[-1]), value_of(n)
-        tied = abs(v1 - v0) <= rel_tol * max(abs(v0), abs(v1), 1e-300)
-        if tied:
-            group.append(n)
-        else:
-            out.extend(sorted(group))
-            group = [n]
-    out.extend(sorted(group))
-    return tuple(out)
 
 
 def _kendall_tau(a, b) -> float:

@@ -275,3 +275,19 @@ def lp_bounding_box(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
         hi[k] = lp_support(poly, e)
         lo[k] = -lp_support(poly, -e)
     return lo, hi
+
+
+def locate_brute(decomp, theta):
+    """Region index by the documented rule, one region at a time.
+
+    Every region whose closure holds theta by `Polytope.contains` is a
+    candidate; the lexicographically smallest price vector wins, the lower
+    index on equal prices; -1 when no closure holds the point.
+    """
+    theta = np.asarray(theta, dtype=float)
+    candidates = [k for k, r in enumerate(decomp.regions)
+                  if r.polytope.contains(theta)]
+    if not candidates:
+        return -1
+    return min(candidates,
+               key=lambda k: tuple(decomp.regions[k].lmp_at(theta)))

@@ -44,7 +44,7 @@ import time
 import numpy as np
 import pytest
 
-from lmpspike import (GaussianModel, RateFunction, case14_path, compute_lmp,
+from lmpspike import (GaussianModel, case14_path, compute_lmp,
                       locate_region, solve_opf)
 from lmpspike.pipeline import AnalysisConfig, build_study
 from lmpspike.spikes import build_thresholds, decay_rates, rank_nodes
@@ -82,7 +82,7 @@ def study14():
 @pytest.fixture(scope="module")
 def analysis14(study14):
     spec = study14.spike_spec(0.25)
-    return decay_rates(study14.decomposition, study14.rate_fn, spec), spec
+    return decay_rates(study14.decomposition, study14.model, spec), spec
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_criterion_4_boundary_attainment(study14):
     checked = 0
     for err in (0.25, 0.5, 1.0, 10.0):
         spec = study14.spike_spec(err)
-        analysis = decay_rates(study14.decomposition, study14.rate_fn, spec)
+        analysis = decay_rates(study14.decomposition, study14.model, spec)
         for (node, sign), res in analysis.per_side.items():
             if not res.reachable:
                 continue
@@ -236,7 +236,7 @@ def test_criterion_5_desk_scale_oracles(toy2r, toy_ring):
     # (b) decay rates against 1e6-point grid minimization
     mu2, sig2 = np.array([5.0]), np.array([[1.0]])
     spec2 = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
-    a2 = decay_rates(decomp2, RateFunction(mu2, sig2), spec2)
+    a2 = decay_rates(decomp2, GaussianModel(mu2, sig2), spec2)
     grid = np.linspace(0.0, 10.0, 1_000_001).reshape(-1, 1)
     _, lmp, _, feas = grid_partition_map(problem2, grid)
     rates_ok = True
@@ -252,7 +252,7 @@ def test_criterion_5_desk_scale_oracles(toy2r, toy_ring):
     mu3 = np.array([3.0, 4.0])
     sig3 = np.array([[1.0, 0.3], [0.3, 2.0]])
     spec3 = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
-    a3 = decay_rates(decomp3, RateFunction(mu3, sig3), spec3)
+    a3 = decay_rates(decomp3, GaussianModel(mu3, sig3), spec3)
     xs = np.linspace(lo[0], hi[0], 1000)
     ys = np.linspace(lo[1], hi[1], 1001)
     coarse = np.array([(x, y) for x in xs for y in ys])
@@ -329,10 +329,10 @@ def test_criterion_6_analytic_spot_checks(study14, toy2r):
         checked += 1
 
     # rate-function identities
-    rf = study14.rate_fn
+    rf = study14.model
     zero_ok = rf.rate(rf.mu_theta) == 0.0
     sig1, a = 1.7, 2.3
-    rf2 = RateFunction([0.0, 0.0], np.diag([sig1 ** 2, 0.81]))
+    rf2 = GaussianModel([0.0, 0.0], np.diag([sig1 ** 2, 0.81]))
     direction = np.array([a, 0.0])
     half_ok = abs(rf2.rate(direction) - a ** 2 / (2 * sig1 ** 2)) \
         <= 1e-12 * (a ** 2 / (2 * sig1 ** 2))

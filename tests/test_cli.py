@@ -166,6 +166,15 @@ def test_lower_dimensional_parameter_set_exits_3(toy_config):
     assert main(["rank", "--config", str(config_path)]) == 3
 
 
+def test_fixed_output_unit_exits_2(toy_config, capsys):
+    config_path, tmp = toy_config
+    case = json.loads((tmp / "case.json").read_text())
+    case["generators"][1]["gmin"] = case["generators"][1]["gmax"] = 5
+    (tmp / "case.json").write_text(json.dumps(case))
+    assert main(["rank", "--config", str(config_path)]) == 2
+    assert "fold it into the bus load" in capsys.readouterr().err
+
+
 def test_seed_and_out_overrides(toy_config):
     config_path, tmp = toy_config
     alt = tmp / "alt"

@@ -46,6 +46,11 @@ def test_nonpositive_quadratic_cost_rejected():
         Generator(1, 0.0, 5.0, 0.0, 1.0)
 
 
+def test_fixed_output_unit_rejected():
+    with pytest.raises(CaseError, match="fold it into the bus load"):
+        Generator(1, 5.0, 5.0, 1.0, 0.0)
+
+
 def test_negative_demand_rejected():
     with pytest.raises(CaseError, match="demand"):
         two_bus(loads=np.array([0.0, -1.0]))

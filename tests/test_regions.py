@@ -6,12 +6,12 @@ import pytest
 from lmpspike import (GridCase, Generator, InfeasibleError, Line,
                       SingularActiveSetError, assemble_mpqp, compute_lmp,
                       enumerate_regions, feasible_set, load_decomposition,
-                      locate_region, optimal_partition, region_lmp_map,
-                      save_decomposition, solve_opf)
+                      locate, locate_region, optimal_partition,
+                      region_lmp_map, save_decomposition, solve_opf)
 from lmpspike.opf import OptimalPartition
 
 from oracles import (distinct_interior_partitions, grid_partition_map,
-                     toy2r_lmp)
+                     locate_brute, toy2r_lmp)
 
 
 # -- feasible parameter set ----------------------------------------------------
@@ -205,6 +205,28 @@ def test_locate_center_finds_owner(toy_ring):
         found, vals = locate_region(decomp, region.chebyshev_center)
         assert found.id == region.id
         assert np.allclose(vals, region.lmp_at(region.chebyshev_center))
+
+
+def test_locate_matches_brute_force_oracle(toy_ring):
+    """Random interior points and every region's facet points, where
+    several closures meet, against the one-region-at-a-time rule."""
+    _, theta_space, decomp = toy_ring
+    rng = np.random.Generator(np.random.Philox(key=25))
+    lo, hi = theta_space.bounding_box()
+    pts = rng.uniform(lo, hi, size=(3000, 2))
+    pts = pts[[theta_space.contains(p, tol=-1e-9) for p in pts]]
+    facets = [r.polytope.facet_point(i) for r in decomp.regions
+              for i in range(r.polytope.n_rows)]
+    facets = np.array([f for f in facets if f is not None])
+    pts = np.vstack([pts, facets])
+    expected = np.array([locate_brute(decomp, p) for p in pts])
+    got = locate(decomp, pts)
+    assert np.array_equal(got, expected)
+    assert (got >= 0).all()
+    # facet points shared by two closures exercise the tie rule
+    shared = sum(sum(r.polytope.contains(f) for r in decomp.regions) > 1
+                 for f in facets)
+    assert shared > 0
 
 
 def test_locate_on_jump_face_takes_lexicographic_smallest(toy2r):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lmpspike import (ConfigError, RateFunction, SpikeSpec,
+from lmpspike import (ConfigError, GaussianModel, SpikeSpec,
                       approx_probability, build_thresholds, decay_rates,
                       minimize_rate_piece, rank_nodes, spikes)
 from lmpspike.regions import CriticalRegion, RegionDecomposition
@@ -64,12 +64,12 @@ def test_nonpositive_err_rejected():
 # -- rate function ----------------------------------------------------------------
 
 def test_rate_zero_at_mean():
-    rf = RateFunction([1.0, 2.0], np.eye(2))
+    rf = GaussianModel([1.0, 2.0], np.eye(2))
     assert rf.rate([1.0, 2.0]) == 0.0
 
 
 def test_rate_identity_covariance():
-    rf = RateFunction([0.0, 0.0], np.eye(2))
+    rf = GaussianModel([0.0, 0.0], np.eye(2))
     assert rf.rate([3.0, 4.0]) == pytest.approx(12.5, abs=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_rate_matches_dense_solve():
     L = rng.normal(size=(3, 3))
     sigma = L @ L.T + 3 * np.eye(3)
     mu = rng.normal(size=3)
-    rf = RateFunction(mu, sigma)
+    rf = GaussianModel(mu, sigma)
     for _ in range(20):
         theta = rng.normal(size=3) * 5
         expected = 0.5 * (theta - mu) @ np.linalg.solve(sigma, theta - mu)
@@ -90,7 +90,7 @@ def test_rate_matches_dense_solve():
 
 def test_indefinite_covariance_rejected():
     with pytest.raises(ConfigError):
-        RateFunction([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
+        GaussianModel([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # -- piece minimization -------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_axis_aligned_halfspace_exact():
     # price = theta_1 over a big box; band upper edge mu_1 + a
     sig1, sig2, a = 1.7, 0.9, 2.3
     mu = np.array([1.0, -2.0])
-    rf = RateFunction(mu, np.diag([sig1 ** 2, sig2 ** 2]))
+    rf = GaussianModel(mu, np.diag([sig1 ** 2, sig2 ** 2]))
     region = synthetic_region([[1.0, 0.0]], [0.0], mu - 50.0, mu + 50.0)
     spec = SpikeSpec(alpha_minus=np.array([mu[0] - a]),
                      alpha_plus=np.array([mu[0] + a]),
@@ -111,7 +111,7 @@ def test_axis_aligned_halfspace_exact():
 
 
 def test_empty_piece_returns_none():
-    rf = RateFunction([0.0], np.eye(1))
+    rf = GaussianModel([0.0], np.eye(1))
     region = synthetic_region([[1.0]], [0.0], [-1.0], [1.0])
     spec = SpikeSpec(alpha_minus=np.array([-5.0]), alpha_plus=np.array([5.0]),
                      lmp_at_mean=np.array([0.0]))
@@ -120,7 +120,7 @@ def test_empty_piece_returns_none():
 
 
 def test_constant_price_region():
-    rf = RateFunction([0.0], np.eye(1))
+    rf = GaussianModel([0.0], np.eye(1))
     inside = synthetic_region([[0.0]], [7.0], [-1.0], [1.0])
     spec = SpikeSpec(alpha_minus=np.array([1.0]), alpha_plus=np.array([5.0]),
                      lmp_at_mean=np.array([3.0]))
@@ -134,7 +134,7 @@ def test_constant_price_region():
 def test_toy2r_decay_rates_hand_values(toy2r):
     problem, _, decomp = toy2r
     mu, sig = 5.0, 1.0
-    rf = RateFunction([mu], [[sig ** 2]])
+    rf = GaussianModel([mu], [[sig ** 2]])
     lmp_mu = np.array(toy2r_lmp(mu))
     spec = build_thresholds(lmp_mu, 0.25)
     analysis = decay_rates(decomp, rf, spec)
@@ -158,7 +158,7 @@ def test_toy2r_matches_dense_grid_oracle(toy2r):
     mu = np.array([5.0])
     sigma = np.array([[1.0]])
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
-    analysis = decay_rates(decomp, RateFunction(mu, sigma), spec)
+    analysis = decay_rates(decomp, GaussianModel(mu, sigma), spec)
     grid = np.linspace(0.0, 10.0, 1_000_001).reshape(-1, 1)
     _, lmp, _, feas = grid_partition_map(problem, grid)
     for node in range(2):
@@ -175,7 +175,7 @@ def test_ring_decay_rate_analytic(toy_ring):
     mu = np.array([3.0, 4.0])
     sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
     spec = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
-    analysis = decay_rates(decomp, RateFunction(mu, sigma), spec)
+    analysis = decay_rates(decomp, GaussianModel(mu, sigma), spec)
     expected = 1.125 ** 2 / (2 * 3.6) * 4  # t = 2.25, 1'Sigma 1 = 3.6
     for node in range(3):
         assert analysis.node_rates[node] == pytest.approx(0.703125, rel=1e-9)
@@ -186,7 +186,7 @@ def test_unreachable_event_is_infinite():
     region = synthetic_region([[0.0]], [3.0], [-1.0], [1.0])
     decomp = RegionDecomposition(regions=[region],
                                  theta_space=region.polytope)
-    rf = RateFunction([0.0], np.eye(1))
+    rf = GaussianModel([0.0], np.eye(1))
     spec = SpikeSpec(alpha_minus=np.array([1.0]), alpha_plus=np.array([5.0]),
                      lmp_at_mean=np.array([3.0]))
     analysis = decay_rates(decomp, rf, spec)
@@ -198,7 +198,7 @@ def test_piece_minimum_beats_random_feasible_points(toy_ring):
     """No sampled point of any nonempty piece has a smaller rate."""
     problem, _, decomp = toy_ring
     mu = np.array([3.0, 4.0])
-    rf = RateFunction(mu, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    rf = GaussianModel(mu, np.array([[1.0, 0.3], [0.3, 2.0]]))
     spec = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
     rng = np.random.Generator(np.random.Philox(key=33))
     pieces = 0
@@ -230,7 +230,7 @@ def test_piece_minimum_beats_random_feasible_points(toy_ring):
 
 def test_node_filter_restricts_nodes(toy2r):
     _, _, decomp = toy2r
-    rf = RateFunction([5.0], [[1.0]])
+    rf = GaussianModel([5.0], [[1.0]])
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25, node_filter=(1,))
     analysis = decay_rates(decomp, rf, spec)
     assert sorted(analysis.node_rates) == [1]
@@ -238,7 +238,7 @@ def test_node_filter_restricts_nodes(toy2r):
 
 def test_monotone_in_band_width(toy2r):
     _, _, decomp = toy2r
-    rf = RateFunction([5.0], [[1.0]])
+    rf = GaussianModel([5.0], [[1.0]])
     rates = []
     for err in (0.25, 0.5, 1.0, 10.0):
         spec = build_thresholds(np.array(toy2r_lmp(5.0)), err)
@@ -252,8 +252,8 @@ def test_monotone_in_band_width(toy2r):
 def test_ranking_scale_invariance(toy2r):
     _, _, decomp = toy2r
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
-    base = decay_rates(decomp, RateFunction([5.0], [[1.0]]), spec)
-    scaled = decay_rates(decomp, RateFunction([5.0], [[4.0]]), spec)
+    base = decay_rates(decomp, GaussianModel([5.0], [[1.0]]), spec)
+    scaled = decay_rates(decomp, GaussianModel([5.0], [[4.0]]), spec)
     for node in (0, 1):
         assert scaled.node_rates[node] * 4.0 \
             == pytest.approx(base.node_rates[node], rel=1e-9)
@@ -288,6 +288,13 @@ def test_rank_ties_fall_back_to_node_index():
     assert ranking.nodes == (0, 1, 2)
 
 
+def test_rank_ulp_ties_fall_back_to_node_index():
+    rate = 0.5414222645922684
+    ranking = rank_nodes(_analysis_with({
+        7: rate, 8: math.nextafter(rate, -math.inf), 9: 0.3}))
+    assert ranking.nodes == (9, 7, 8)
+
+
 def test_rank_unreachable_sorts_last():
     ranking = rank_nodes(_analysis_with({0: math.inf, 1: 3.0}))
     assert ranking.nodes == (1, 0)
@@ -313,7 +320,7 @@ def test_probability_documents_missing_prefactor():
 
 def test_decay_csv_layout(tmp_path, toy2r):
     _, _, decomp = toy2r
-    rf = RateFunction([5.0], [[1.0]])
+    rf = GaussianModel([5.0], [[1.0]])
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
     analysis = decay_rates(decomp, rf, spec)
     ranking = rank_nodes(analysis)
@@ -347,7 +354,7 @@ def test_ulp_ties_go_to_minus_side_then_lower_region(monkeypatch, tmp_path,
     monkeypatch.setattr(spikes, "minimize_rate_piece", piece)
     spec = SpikeSpec(alpha_minus=np.array([-0.25]), alpha_plus=np.array([0.25]),
                      lmp_at_mean=np.array([0.0]))
-    analysis = decay_rates(decomp, RateFunction([0.0], np.eye(1)), spec)
+    analysis = decay_rates(decomp, GaussianModel([0.0], np.eye(1)), spec)
     assert analysis.result(0, "-").region_id == 0
     assert analysis.result(0, "+").region_id == 0
     path = tmp_path / "decay.csv"

@@ -5,8 +5,8 @@ import pytest
 
 from lmpspike import (CovarianceSpec, GaussianModel, GridCase, Generator,
                       Line, build_covariance, compare_ranking, compute_lmp,
-                      empirical_density, mc_spike_probabilities, sample,
-                      solve_opf)
+                      empirical_density, locate_region,
+                      mc_spike_probabilities, sample, solve_opf)
 from lmpspike.spikes import NodeRanking, build_thresholds
 from lmpspike.stochastic import (MCResult, NodeHistogram, evaluate_lmp_samples,
                                  find_modes)
@@ -193,6 +193,18 @@ def test_empirical_density_records_band(toy_ring):
     assert hist.alpha_minus == pytest.approx(4.5 * 0.75)
     assert hist.alpha_plus == pytest.approx(4.5 * 1.25)
     assert hist.counts.sum() == 2000
+
+
+def test_mc_fast_path_applies_the_tie_rule(toy2r):
+    """At the jump theta = 6 both closures hold the point; the MC pricing
+    takes the lexicographically smaller price vector, as locate_region does."""
+    problem, _, decomp = toy2r
+    lmp, feas, fallback = evaluate_lmp_samples(np.array([[6.0]]), decomp,
+                                               problem)
+    _, located = locate_region(decomp, [6.0])
+    assert feas.all() and fallback == 0
+    assert np.allclose(located, [4.0, 4.0], atol=1e-9)
+    assert np.array_equal(lmp[0], located)
 
 
 def test_zero_variance_limit_concentrates(toy_ring):
