@@ -19,8 +19,8 @@ congestion dual (lower-limit dual minus upper-limit dual).
 Solutions are canonicalized: after the active-set QP identifies the binding
 rows, primal and duals are re-derived from one KKT solve on the sorted
 binding set (or, when that set is degenerate, from a lexicographic dual
-selection LP).  Results are therefore independent of warm starts and of the
-path the QP iteration happened to take.
+selection LP).  Results are therefore independent of the path the QP
+iteration happened to take.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def _row_duals_from(problem: MPQPProblem, lam: float, binding_ineq,
     return row_duals
 
 
-def solve_opf(problem: MPQPProblem, theta=None, x0=None) -> OPFSolution:
+def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
     """Solve the dispatch QP at a fixed renewable injection with full duals.
 
     Raises InfeasibleError when theta lies outside the feasible parameter
@@ -281,11 +281,10 @@ def solve_opf(problem: MPQPProblem, theta=None, x0=None) -> OPFSolution:
     A_in = problem.A[2:]
     b_in = problem.b[2:] + problem.E[2:] @ theta
 
-    start = x0 if x0 is not None else _heuristic_start(problem, theta, A_in, b_in)
     try:
         res = qp.solve_qp(problem.H, problem.h,
                           A_eq=np.ones((1, problem.n_g)), b_eq=[D],
-                          A_in=A_in, b_in=b_in, x0=start)
+                          A_in=A_in, b_in=b_in)
     except InfeasibleError:
         raise InfeasibleError(
             "dispatch infeasible at theta="
@@ -335,23 +334,6 @@ def solve_opf(problem: MPQPProblem, theta=None, x0=None) -> OPFSolution:
                        tau_minus=tau_minus, tau_plus=tau_plus, flows=flows,
                        kkt_residual=kkt_res, row_duals=row_duals,
                        degenerate=degenerate)
-
-
-def _heuristic_start(problem: MPQPProblem, theta, A_in, b_in):
-    """Feasible point without an LP when interpolating the bounds happens to work."""
-    case = problem.case
-    g_min = np.array([g.g_min for g in case.generators])
-    g_max = np.array([g.g_max for g in case.generators])
-    span = float((g_max - g_min).sum())
-    if span <= 0.0:
-        return None
-    t = (problem.net_demand(theta) - g_min.sum()) / span
-    if not 0.0 <= t <= 1.0:
-        return None
-    g = g_min + t * (g_max - g_min)
-    if np.all(A_in @ g <= b_in + 1e-9 * (1.0 + np.abs(b_in))):
-        return g
-    return None
 
 
 def _stack_duals(problem: MPQPProblem, row_duals: np.ndarray):

@@ -1,27 +1,50 @@
-"""Dense primal active-set solver for small strictly convex QPs.
+"""Dense dual active-set solver for small strictly convex QPs.
 
 Solves
     min  1/2 x' H x + h' x
     s.t. A_eq x  = b_eq
          A_in x <= b_in
-with H symmetric positive definite.  The solver iterates on a working set of
-inequality rows, re-solving the equality-constrained KKT system from scratch
-each time; at the sizes this package deals in (a handful of variables, tens
-of rows) a fresh dense solve is both faster and more predictable than factor
-updates.
+with H symmetric positive definite, by the dual method of Goldfarb and
+Idnani (Math. Prog. 27, 1983).  It starts at the equality-constrained
+minimizer, which is dual feasible, so it needs no feasible starting point.
+Each step takes the most violated inequality row p and raises its
+multiplier t, along which point and working-set multipliers move affinely.
+The step is full when row p binds (p joins the working set) and partial
+when an active multiplier reaches zero first (that row leaves).  Every step
+re-solves the equality-constrained KKT system of the working set from
+scratch; at the sizes this package deals in (a handful of variables, tens
+of rows) a fresh dense solve is both faster and more predictable than
+factor updates.
 
-The exact final active set and the Lagrange multipliers are first-class
-outputs: downstream code reconstructs parametric solution maps from them.
+Infeasibility shows as an unbounded dual step: row p depends linearly on
+the working set and no active multiplier falls as t grows.  A row whose
+violation is then within PHASE1_TOL * (1 + max|b_in|) is set aside as
+satisfied and the iteration restarts without it, but the returned point
+must still meet it within that tolerance; otherwise InfeasibleError is
+raised.
+
+Once no row is violated beyond tol * (1 + max|b_in|), point and multipliers
+are re-derived from one KKT solve on the sorted final working set, so they
+depend only on that set and not on the path taken to it.  The exact final
+active set and the Lagrange multipliers are first-class outputs:
+downstream code reconstructs parametric solution maps from them.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp
 from .errors import InfeasibleError, NumericalError
+
+# violation (relative to 1 + max|b_in|) up to which a row that cannot be added
+# counts as satisfied: the feasibility verdict of an elastic phase-1 LP with
+# this slack tolerance (tests/oracles.phase1_point)
+PHASE1_TOL = 1e-7
+# an active multiplier falls with t when its rate is below -DROP_TOL (1 + max rate)
+DROP_TOL = 1e-12
 
 
 @dataclass
@@ -45,59 +68,81 @@ def _as_2d(a, ncols):
     return a
 
 
-def phase1_point(A_eq, b_eq, A_in, b_in, tol=1e-7):
-    """Find a feasible point via an elastic LP, or raise InfeasibleError."""
-    n = A_in.shape[1] if A_in.size else A_eq.shape[1]
-    # variables (x, s): minimize s with A_in x - s <= b_in, A_eq x = b_eq, s >= 0
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = None
-    if A_in.shape[0]:
-        A_ub = np.hstack([A_in, -np.ones((A_in.shape[0], 1))])
-    Ae = None
-    be = None
-    if A_eq.shape[0]:
-        Ae = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-        be = b_eq
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_in if A_in.shape[0] else None,
-                      A_eq=Ae, b_eq=be, bounds=bounds)
-    if res.status != lp.OPTIMAL:
-        raise NumericalError(f"phase-1 LP ended with status {res.status}")
-    scale = 1.0 + (np.abs(b_in).max() if b_in.size else 0.0)
-    if res.fun > tol * scale:
-        raise InfeasibleError(f"no feasible point (phase-1 slack {res.fun:.3e})")
-    x0 = res.x[:n]
-    if A_eq.shape[0]:
-        # re-project onto the equalities; the LP satisfies them only to solver tolerance
-        r = b_eq - A_eq @ x0
-        x0 = x0 + A_eq.T @ np.linalg.solve(A_eq @ A_eq.T, r)
-    return x0
-
-
-def _kkt_solve(H, h, A_eq, b_eq, A_act, b_act):
-    """Solve the equality-constrained QP given by the working set."""
-    n = H.shape[0]
-    ne, na = A_eq.shape[0], A_act.shape[0]
-    K = np.zeros((n + ne + na, n + ne + na))
+def _kkt_solve(H, N, top, bottom):
+    """Solve [H N'; N 0] [x; y] = [top; bottom]; column-stacked right-hand sides allowed."""
+    n, k = H.shape[0], N.shape[0]
+    K = np.zeros((n + k, n + k))
     K[:n, :n] = H
-    if ne:
-        K[:n, n:n + ne] = A_eq.T
-        K[n:n + ne, :n] = A_eq
-    if na:
-        K[:n, n + ne:] = A_act.T
-        K[n + ne:, :n] = A_act
-    rhs = np.concatenate([-h, b_eq, b_act])
+    K[:n, n:] = N.T
+    K[n:, :n] = N
     try:
-        sol = np.linalg.solve(K, rhs)
+        sol = np.linalg.solve(K, np.concatenate([top, bottom]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular KKT system in active-set iteration") from exc
-    return sol[:n], sol[n:n + ne], sol[n + ne:]
+    return sol[:n], sol[n:]
 
 
-def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, x0=None,
+def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):
+    """Goldfarb-Idnani iteration over the inequality rows not in `skip`.
+
+    Returns (work, blocked, iterations): the sorted working set, and
+    `blocked` = (row, violation) when that row's dual step is unbounded
+    (None when no row is violated beyond feas_tol).
+    """
+    ne = A_eq.shape[0]
+    work: list[int] = []
+    x = _kkt_solve(H, A_eq, -h, b_eq)[0]
+    iterations = 0
+    while True:
+        viol = A_in @ x - b_in
+        viol[work] = -np.inf
+        viol[skip] = -np.inf
+        p = int(np.argmax(viol)) if viol.size else -1
+        if p < 0 or viol[p] <= feas_tol:
+            return work, None, iterations
+        a_p, b_p = A_in[p], float(b_in[p])
+        top = np.column_stack([-h, -a_p])
+        t = 0.0  # multiplier of row p
+        while True:
+            if iterations >= max_iter:
+                raise NumericalError(
+                    f"active-set QP did not converge in {max_iter} iterations")
+            iterations += 1
+            N = np.vstack([A_eq, A_in[work]])
+            bottom = np.zeros((N.shape[0], 2))
+            bottom[:, 0] = np.concatenate([b_eq, b_in[work]])
+            X, Y = _kkt_solve(H, N, top, bottom)
+            dx = X[:, 1]
+            at_0, slope = (a_p @ X).tolist()  # a_p' x at t = 0, and its rate
+            violation = at_0 + t * slope - b_p
+            # -a_p' dx equals the curvature dx' H dx in exact arithmetic.  When
+            # row p depends on the working set, dx is rounding noise, which
+            # the curvature squares and -a_p' dx does not: the two disagree,
+            # and no full step exists.
+            curv = float(dx @ H @ dx)
+            step = violation / -slope if 0.0 < -slope < 2.0 * curv else np.inf
+            drop = -1
+            if work:
+                du = Y[ne:, 1].tolist()
+                u = (Y[ne:, 0] + t * Y[ne:, 1]).tolist()
+                cut = -DROP_TOL * (1.0 + max(map(abs, du)))
+                for k, (u_k, du_k) in enumerate(zip(u, du)):
+                    # strict: of equal ratios the first, i.e. lowest row, drops
+                    if du_k < cut and max(u_k, 0.0) / -du_k < step:
+                        step, drop = max(u_k, 0.0) / -du_k, k
+            if step == np.inf:
+                return work, (p, violation), iterations
+            t += step
+            if drop < 0:
+                x = X[:, 0] + t * dx
+                bisect.insort(work, p)
+                break
+            work.pop(drop)
+
+
+def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None,
              max_iter=None, tol=1e-9) -> QPResult:
-    """Primal active-set method; requires H positive definite.
+    """Dual active-set method; requires H positive definite.
 
     Raises InfeasibleError when the constraints admit no point, and
     NumericalError on iteration-limit or linear-algebra failure.
@@ -113,67 +158,30 @@ def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, x0=None,
     if max_iter is None:
         max_iter = 100 * (n + m + 1)
 
-    feas_tol = tol * (1.0 + (np.abs(b_in).max() if m else 0.0))
-    if x0 is None:
-        x = phase1_point(A_eq, b_eq, A_in, b_in)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        bad_eq = A_eq.shape[0] and np.abs(A_eq @ x - b_eq).max() > feas_tol
-        bad_in = m and (A_in @ x - b_in).max() > feas_tol
-        if bad_eq or bad_in:
-            x = phase1_point(A_eq, b_eq, A_in, b_in)
+    scale = 1.0 + (np.abs(b_in).max() if m else 0.0)
+    aside = np.zeros(m, dtype=bool)
+    iterations = 0
+    while True:
+        work, blocked, its = _dual_pass(H, h, A_eq, b_eq, A_in, b_in, aside,
+                                        tol * scale, max_iter - iterations)
+        iterations += its
+        if blocked is None:
+            break
+        row, violation = blocked
+        if violation > PHASE1_TOL * scale:
+            raise InfeasibleError(
+                f"no feasible point (row {row} violated by {violation:.3e})")
+        aside[row] = True
 
-    work: list[int] = []
-    for it in range(max_iter):
-        A_act = A_in[work] if work else np.zeros((0, n))
-        b_act = b_in[work] if work else np.zeros(0)
-        x_new, nu_eq, nu_act = _kkt_solve(H, h, A_eq, b_eq, A_act, b_act)
-        p = x_new - x
-
-        if np.abs(p).max() <= tol * (1.0 + np.abs(x_new).max()):
-            # stationary on the working set: check dual feasibility
-            if work:
-                dual_tol = tol * (1.0 + np.abs(nu_act).max())
-                worst = int(np.argmin(nu_act))
-                if nu_act[worst] < -dual_tol:
-                    # Bland-style: among sufficiently negative duals drop the
-                    # lowest row index to avoid cycling
-                    neg = [k for k in range(len(work)) if nu_act[k] < -dual_tol]
-                    k = min(neg, key=lambda j: work[j])
-                    work.pop(k)
-                    continue
-            ineq_duals = np.zeros(m)
-            for k, row in enumerate(work):
-                ineq_duals[row] = max(nu_act[k], 0.0)
-            resid = H @ x_new + h
-            if A_eq.shape[0]:
-                resid = resid + A_eq.T @ nu_eq
-            if m:
-                resid = resid + A_in.T @ ineq_duals
-            obj = 0.5 * x_new @ H @ x_new + h @ x_new
-            return QPResult(x_new, float(obj), nu_eq, ineq_duals, tuple(sorted(work)),
-                            iterations=it + 1,
-                            stationarity_residual=float(np.abs(resid).max()))
-
-        # ratio test against rows outside the working set
-        alpha = 1.0
-        blocker = -1
-        if m:
-            in_work = set(work)
-            for i in range(m):
-                if i in in_work:
-                    continue
-                d = A_in[i] @ p
-                if d <= tol * (1.0 + np.abs(A_in[i]).max() * np.abs(p).max()):
-                    continue
-                slack = b_in[i] - A_in[i] @ x
-                ratio = max(slack, 0.0) / d
-                if ratio < alpha - 1e-12:
-                    alpha = ratio
-                    blocker = i
-                elif blocker >= 0 and abs(ratio - alpha) <= 1e-12 and i < blocker:
-                    blocker = i
-        x = x + alpha * p
-        if blocker >= 0:
-            work.append(blocker)
-    raise NumericalError(f"active-set QP did not converge in {max_iter} iterations")
+    x, y = _kkt_solve(H, np.vstack([A_eq, A_in[work]]), -h,
+                      np.concatenate([b_eq, b_in[work]]))
+    if aside.any() and (A_in[aside] @ x - b_in[aside]).max() > PHASE1_TOL * scale:
+        raise InfeasibleError("no feasible point (a set-aside row is violated)")
+    ne = A_eq.shape[0]
+    ineq_duals = np.zeros(m)
+    ineq_duals[work] = np.maximum(y[ne:], 0.0)
+    resid = H @ x + h + A_eq.T @ y[:ne] + A_in.T @ ineq_duals
+    obj = 0.5 * x @ H @ x + h @ x
+    return QPResult(x, float(obj), y[:ne], ineq_duals, tuple(work),
+                    iterations=iterations,
+                    stationarity_residual=float(np.abs(resid).max()))

@@ -136,8 +136,7 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
     The piece is the closure of {theta in the region interior : price at
     `node` beyond the band on side `sign`}; emptiness of the open piece is
     decided by the price extreme over the region's vertices before any
-    minimization, and the QP starts from that extreme vertex (from the
-    region's Chebyshev center when the price is constant).
+    minimization.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -155,14 +154,10 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
         if not in_spike:
             return None
         G, w = poly.G, poly.w
-        start = region.chebyshev_center
     else:
         direction = crow if sign == "+" else -crow
-        verts = poly.vertices()
-        values = verts @ direction
-        k = int(np.argmax(values))
-        start = verts[k]
-        extreme = float(values[k]) + (cval if sign == "+" else -cval)
+        extreme = float((poly.vertices() @ direction).max()) \
+            + (cval if sign == "+" else -cval)
         threshold = alpha if sign == "+" else -alpha
         if extreme <= threshold + strict_tol:
             return None  # price never exits the band inside this region
@@ -176,7 +171,7 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
     H = model.precision
     h = -H @ model.mu_theta
     try:
-        res = qp.solve_qp(H, h, A_in=G, b_in=w, x0=start)
+        res = qp.solve_qp(H, h, A_in=G, b_in=w)
     except InfeasibleError:
         return None
     theta_star = res.x

@@ -3,8 +3,9 @@
 Everything here avoids the package's iterative solvers and geometric
 exploration: optima come from exhaustive enumeration of candidate binding
 sets, prices on dense parameter grids from vectorized affine evaluation per
-candidate, tail probabilities from the closed-form normal distribution, and
-polytope operations from one HiGHS LP per row or direction.
+candidate, tail probabilities from the closed-form normal distribution,
+polytope operations from one HiGHS LP per row or direction, and the QP
+feasibility verdict from an elastic phase-1 LP.
 """
 
 from __future__ import annotations
@@ -58,6 +59,40 @@ def brute_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
             if best is None or obj < best[1] - 1e-12:
                 best = (x, obj)
     return best
+
+
+def phase1_point(A_eq, b_eq, A_in, b_in, tol=1e-7):
+    """Feasible point from an elastic LP, or InfeasibleError.
+
+    The verdict reference for `solve_qp`: a system counts as feasible when
+    some point violates no inequality row by more than tol * (1 + max|b_in|).
+    """
+    n = A_in.shape[1] if A_in.size else A_eq.shape[1]
+    # variables (x, s): minimize s with A_in x - s <= b_in, A_eq x = b_eq, s >= 0
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    A_ub = None
+    if A_in.shape[0]:
+        A_ub = np.hstack([A_in, -np.ones((A_in.shape[0], 1))])
+    Ae = None
+    be = None
+    if A_eq.shape[0]:
+        Ae = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
+        be = b_eq
+    bounds = [(None, None)] * n + [(0.0, None)]
+    res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_in if A_in.shape[0] else None,
+                      A_eq=Ae, b_eq=be, bounds=bounds)
+    if res.status != lp.OPTIMAL:
+        raise NumericalError(f"phase-1 LP ended with status {res.status}")
+    scale = 1.0 + (np.abs(b_in).max() if b_in.size else 0.0)
+    if res.fun > tol * scale:
+        raise InfeasibleError(f"no feasible point (phase-1 slack {res.fun:.3e})")
+    x0 = res.x[:n]
+    if A_eq.shape[0]:
+        # re-project onto the equalities; the LP satisfies them only to solver tolerance
+        r = b_eq - A_eq @ x0
+        x0 = x0 + A_eq.T @ np.linalg.solve(A_eq @ A_eq.T, r)
+    return x0
 
 
 def brute_opf(problem, theta, tol=1e-8):

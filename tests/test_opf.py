@@ -5,11 +5,11 @@ import pytest
 
 from lmpspike import (GridCase, Generator, InfeasibleError, Line,
                       SingularActiveSetError, assemble_mpqp, compute_lmp,
-                      licq_check, optimal_partition, solve_opf)
+                      licq_check, lp, optimal_partition, qp, solve_opf)
 from lmpspike.opf import (GEN_LOWER, GEN_UPPER, LINE_LOWER, LINE_UPPER,
                           OptimalPartition, parametric_kkt)
 
-from oracles import brute_opf
+from oracles import brute_opf, phase1_point
 
 
 def one_bus_two_units():
@@ -110,6 +110,80 @@ def test_infeasible_theta_raises(toy2r):
         solve_opf(problem, [15.0])  # renewable exceeds demand plus headroom
 
 
+def _phase1_feasible(problem, theta):
+    """The elastic phase-1 LP's verdict on the dispatch rows at theta."""
+    try:
+        phase1_point(np.ones((1, problem.n_g)), np.array([problem.net_demand(theta)]),
+                     problem.A[2:], problem.b[2:] + problem.E[2:] @ theta)
+    except InfeasibleError:
+        return False
+    return True
+
+
+def _facet_offsets(theta_space, offset):
+    """Points `offset` (relative) inside and outside each facet of the set."""
+    poly = theta_space.normalized()
+    for i in range(poly.n_rows):
+        point = poly.facet_point(i)
+        if point is not None:
+            step = offset * (1.0 + np.abs(point).max()) * poly.G[i]
+            yield point - step, point + step
+
+
+def test_verdict_just_inside_and_outside_theta_space_facets(toy_ring):
+    """Near a facet of the parameter set, solve_opf agrees with phase 1."""
+    problem, theta_space, _ = toy_ring
+    cut_off = 0
+    for offset in (1e-6, 1e-3):
+        for inside, outside in _facet_offsets(theta_space, offset):
+            solve_opf(problem, inside)
+            try:
+                solve_opf(problem, outside)
+                feasible = True
+            except InfeasibleError:
+                feasible = False
+            assert feasible == _phase1_feasible(problem, outside)
+            cut_off += not feasible
+    assert cut_off >= 4  # two facets cut by the dispatch rows, not by the box
+
+
+def test_qp_verdict_within_phase1_tolerance_of_theta_space_facets(toy_ring):
+    """1e-8 outside a facet the dispatch rows are violated beyond the QP's
+    stopping tolerance but within the phase-1 tolerance, so the QP sets the
+    row aside and accepts the point, as phase 1 does."""
+    problem, theta_space, _ = toy_ring
+    for inside, outside in _facet_offsets(theta_space, 1e-8):
+        for theta in (inside, outside):
+            qp.solve_qp(problem.H, problem.h, A_eq=np.ones((1, problem.n_g)),
+                        b_eq=[problem.net_demand(theta)], A_in=problem.A[2:],
+                        b_in=problem.b[2:] + problem.E[2:] @ theta)
+            assert _phase1_feasible(problem, theta)
+
+
+class _LPCalled(Exception):
+    pass
+
+
+def test_nondegenerate_dispatch_runs_no_lp(monkeypatch, toy_hand, toy2r):
+    """Only the lexicographic duals at degenerate points may call an LP."""
+    from lmpspike import case14_path, derive_line_limits, load_case
+
+    def no_lp(*args, **kwargs):
+        raise _LPCalled
+
+    monkeypatch.setattr(lp, "solve_lp", no_lp)
+    case = derive_line_limits(load_case(case14_path(), renewable_buses=[4, 5]),
+                              2.0, 0.6)
+    case14 = assemble_mpqp(case)
+    for theta in ([0.0, 0.0], [20.0, 30.0], [60.0, 20.0], [100.0, 100.0]):
+        assert not solve_opf(case14, theta).degenerate
+    assert not solve_opf(toy_hand).degenerate
+    problem, _, _ = toy2r
+    assert not solve_opf(problem, [8.0]).degenerate
+    with pytest.raises(_LPCalled):
+        solve_opf(problem, [6.0])  # degenerate: the dual selection LP runs
+
+
 def test_matches_bruteforce_on_random_feasible_points(toy_ring):
     problem, theta_space, _ = toy_ring
     rng = np.random.Generator(np.random.Philox(key=8))
@@ -196,7 +270,7 @@ def test_warm_start_is_bitwise_path_independent(toy_ring):
     theta = theta_space.chebyshev()[0]
     cold = solve_opf(problem, theta)
     nearby = solve_opf(problem, theta + 1e-3)
-    warm = solve_opf(problem, theta, x0=nearby.g_star)
+    warm = solve_opf(problem, theta)
     assert np.array_equal(cold.g_star, warm.g_star)
     assert cold.lambda_energy == warm.lambda_energy
     assert np.array_equal(cold.row_duals, warm.row_duals)
@@ -232,7 +306,7 @@ def test_degenerate_point_gets_lexicographic_duals(toy2r):
     problem, _, _ = toy2r
     sol = solve_opf(problem, [6.0])
     assert sol.degenerate
-    again = solve_opf(problem, [6.0], x0=np.array([1.0, 3.0]))
+    again = solve_opf(problem, [6.0])
     assert np.array_equal(sol.row_duals, again.row_duals)
     assert np.array_equal(sol.g_star, again.g_star)
 
