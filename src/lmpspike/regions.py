@@ -7,7 +7,9 @@ set, enumerates all full-dimensional critical regions by stepping across
 facets, and attaches the affine price/dispatch maps.  Point location
 (`locate`) is the one region lookup every caller uses, the Monte Carlo fast
 path included; it breaks ties lexicographically on the shared faces where the
-price map may jump.
+price map may jump.  Its `Locator`, built once per decomposition, settles a
+point that lies a certified margin inside one region by that region's rows
+alone and scans every closure only for the points near a boundary.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from .opf import (LINE_LOWER, LINE_UPPER, MPQPProblem, OptimalPartition,
 from .polytope import Polytope, box_polytope, fourier_motzkin
 
 DEFAULT_MAX_EXPANSIONS = 10 ** 6
-# points tested per stacked membership product in `locate`
-LOCATE_CHUNK = 4096
+# points per product of the full scan in `Locator`, and the pilot size; the
+# product holds every row of every region for each point, so it stays small
+LOCATE_CHUNK = 1024
+# points per chunk tested against the margin-shrunk rows of one region
+PEEL_CHUNK = 16384
 
 
 def feasible_set(problem: MPQPProblem, box_lo, box_hi,
@@ -88,6 +93,8 @@ class RegionDecomposition:
     theta_space: Polytope
     coverage_volume_ratio: float = float("nan")
     degenerate_diagnostics: list[str] = field(default_factory=list)
+    _locator: "Locator | None" = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n_regions(self) -> int:
@@ -95,6 +102,13 @@ class RegionDecomposition:
 
     def by_key(self) -> dict[tuple[int, ...], CriticalRegion]:
         return {r.partition.key: r for r in self.regions}
+
+    def locator(self) -> "Locator":
+        """The point locator behind `locate`, built on first use and kept;
+        the region list must not change after that."""
+        if self._locator is None:
+            self._locator = Locator(self.regions, self.theta_space.dim)
+        return self._locator
 
 
 def region_lmp_map(active_set: OptimalPartition, problem: MPQPProblem,
@@ -293,8 +307,8 @@ def estimate_coverage(decomp: RegionDecomposition, n_samples: int = 20000,
         return float("nan")
     lo, hi = decomp.theta_space.bounding_box()
     rng = np.random.Generator(np.random.Philox(key=seed))
+    batches = []
     inside = 0
-    covered = 0
     batch = 4096
     while inside < n_samples:
         pts = rng.uniform(lo, hi, size=(batch, decomp.theta_space.dim))
@@ -302,7 +316,8 @@ def estimate_coverage(decomp: RegionDecomposition, n_samples: int = 20000,
                       <= decomp.theta_space.w + 1e-12, axis=1)
         pts = pts[mask][:n_samples - inside]
         inside += pts.shape[0]
-        covered += int(np.count_nonzero(locate(decomp, pts) >= 0))
+        batches.append(pts)
+    covered = np.count_nonzero(locate(decomp, np.vstack(batches)) >= 0)
     return covered / n_samples
 
 
@@ -313,32 +328,106 @@ def locate(decomp: RegionDecomposition, thetas) -> np.ndarray:
     closures hold the point and their maps may disagree; the candidate with
     the lexicographically smallest price vector wins (the lower index on
     equal prices), which pins a single-valued price map on the whole set.
-    Every region's rows are padded to a common count with rows 0 <= 0 and
-    stacked, so each chunk of points costs one product and one reduction.
+    Most points are settled by one region's rows (see `Locator`); the rest
+    get the full scan of every closure.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    regions = decomp.regions
-    d = decomp.theta_space.dim
-    n_rows = max(r.polytope.n_rows for r in regions)
-    G = np.zeros((len(regions), n_rows, d))
-    bound = np.zeros((len(regions), n_rows, 1))
-    for k, r in enumerate(regions):
-        G[k, :r.polytope.n_rows] = r.polytope.G
-        bound[k, :r.polytope.n_rows, 0] = \
-            r.polytope.w + 1e-9 * (1.0 + np.abs(r.polytope.w))
-    G = G.reshape(-1, d)
-    idx = np.full(thetas.shape[0], -1, dtype=np.intp)
-    for lo in range(0, thetas.shape[0], LOCATE_CHUNK):
-        pts = thetas[lo:lo + LOCATE_CHUNK]
-        lhs = (G @ pts.T).reshape(len(regions), n_rows, -1)
-        inside = np.all(lhs <= bound, axis=1)  # regions x points
-        count = np.count_nonzero(inside, axis=0)
-        idx[lo:lo + pts.shape[0]] = np.where(count > 0,
-                                             inside.argmax(axis=0), -1)
-        for i in np.flatnonzero(count > 1):  # rare: points on shared faces
-            idx[lo + i] = min(np.flatnonzero(inside[:, i]),
-                              key=lambda k: tuple(regions[k].lmp_at(pts[i])))
-    return idx
+    return decomp.locator().locate(np.atleast_2d(np.asarray(thetas,
+                                                            dtype=float)))
+
+
+class Locator:
+    """Point location over a fixed list of regions with disjoint interiors.
+
+    The margin m is twice the largest distance from a vertex of any region's
+    closure G x <= w + 1e-9 (1 + |w|) to the nearest vertex of that region,
+    so every closure lies within m/2 of its region.  A point whose slack is
+    at least m |g_i| in every row g_i x <= w_i of region A is the center of a
+    ball of radius m inside A.  Were it in the closure of another region B,
+    B would meet the interior of that ball and so overlap A's interior;
+    hence A's closure is the only one that holds the point, and the tie rule
+    has nothing to decide.  `locate` runs the full scan of every closure on
+    a pilot chunk, then tests the remaining points against each region's
+    margin-shrunk rows, the region the pilot hit most first, and leaves the
+    points that no region settles (within m of a boundary, or in no closure)
+    to the full scan.
+    """
+
+    def __init__(self, regions: list[CriticalRegion], dim: int):
+        self.regions = regions
+        n_rows = max(r.polytope.n_rows for r in regions)
+        G = np.zeros((len(regions), n_rows, dim))
+        bound = np.zeros((len(regions), n_rows, 1))
+        reach = 0.0
+        for k, r in enumerate(regions):
+            p = r.polytope
+            closure = p.w + 1e-9 * (1.0 + np.abs(p.w))
+            G[k, :p.n_rows] = p.G
+            bound[k, :p.n_rows, 0] = closure
+            reach = max(reach, _closure_reach(r, closure))
+        # every region is padded to a common row count with rows 0 <= 0, so
+        # each chunk of the full scan costs one product and one reduction
+        self.G = G.reshape(-1, dim)
+        self.bound = bound
+        self.margin = 2.0 * reach + 1e-12
+        self.shrunk = [] if not np.isfinite(reach) else [
+            (r.polytope.G, (r.polytope.w - self.margin
+                            * np.linalg.norm(r.polytope.G, axis=1))[:, None])
+            for r in regions]
+
+    def locate(self, thetas: np.ndarray) -> np.ndarray:
+        """Region index per row of a 2-D array, by the `locate` rule."""
+        n = thetas.shape[0]
+        idx = np.full(n, -1, dtype=np.intp)
+        pilot = LOCATE_CHUNK if self.shrunk else n
+        idx[:pilot] = self.scan(thetas[:pilot])
+        hits = np.bincount(idx[:pilot] + 1, minlength=len(self.regions) + 1)
+        order = np.argsort(-hits[1:], kind="stable")
+        for lo in range(pilot, n, PEEL_CHUNK):
+            todo = np.arange(lo, min(lo + PEEL_CHUNK, n))
+            pts = thetas[lo:lo + PEEL_CHUNK]
+            for k in order:
+                G, inner = self.shrunk[k]
+                settled = np.all(G @ pts.T <= inner, axis=0)
+                idx[todo[settled]] = k
+                todo = todo[~settled]
+                if not todo.size:
+                    break
+                pts = thetas[todo]
+            if todo.size:
+                idx[todo] = self.scan(pts)
+        return idx
+
+    def scan(self, thetas: np.ndarray) -> np.ndarray:
+        """Every closure against every point, then the tie rule."""
+        n_regions = len(self.regions)
+        idx = np.full(thetas.shape[0], -1, dtype=np.intp)
+        for lo in range(0, thetas.shape[0], LOCATE_CHUNK):
+            pts = thetas[lo:lo + LOCATE_CHUNK]
+            lhs = (self.G @ pts.T).reshape(n_regions, -1, pts.shape[0])
+            inside = np.all(lhs <= self.bound, axis=1)  # regions x points
+            count = np.count_nonzero(inside, axis=0)
+            idx[lo:lo + pts.shape[0]] = np.where(count > 0,
+                                                 inside.argmax(axis=0), -1)
+            for i in np.flatnonzero(count > 1):  # rare: points on shared faces
+                idx[lo + i] = min(
+                    np.flatnonzero(inside[:, i]),
+                    key=lambda k: tuple(self.regions[k].lmp_at(pts[i])))
+        return idx
+
+
+def _closure_reach(region: CriticalRegion, closure: np.ndarray) -> float:
+    """Largest distance from a vertex of the region's tolerant closure to the
+    nearest vertex of the region; inf when either vertex set is unavailable
+    (an unbounded or flat region), which turns the margin test off."""
+    p = region.polytope
+    seed = (region.chebyshev_center, region.chebyshev_radius)
+    try:
+        outer = Polytope(p.G, closure, _cheb=seed).vertices()
+        verts = p.vertices()
+    except (InfeasibleError, NumericalError, ValueError):
+        return np.inf
+    gaps = np.linalg.norm(outer[:, None, :] - verts[None, :, :], axis=2)
+    return float(gaps.min(axis=1).max())
 
 
 def locate_region(decomp: RegionDecomposition, theta,

@@ -143,10 +143,10 @@ def evaluate_lmp_samples(samples: np.ndarray, decomposition: RegionDecomposition
     idx = locate(decomposition, samples)
     n_nodes = decomposition.regions[0].lmp_c.size
     lmp = np.full((samples.shape[0], n_nodes), np.nan)
-    for k, region in enumerate(decomposition.regions):
+    hits = np.bincount(idx + 1, minlength=len(decomposition.regions) + 1)
+    for k in np.flatnonzero(hits[1:]):
         sel = np.flatnonzero(idx == k)
-        if sel.size:
-            lmp[sel] = region.lmp_at(samples[sel])
+        lmp[sel] = decomposition.regions[k].lmp_at(samples[sel])
     feasible = idx >= 0
     fallback = 0
     if problem is not None:

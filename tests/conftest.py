@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from lmpspike import (GridCase, Generator, Line, assemble_mpqp,
+from lmpspike import (GridCase, Generator, Line, assemble_mpqp, case14_path,
                       derive_line_limits, enumerate_regions, feasible_set)
+from lmpspike.pipeline import AnalysisConfig, build_study
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +71,24 @@ def toy_ring():
     theta_space = feasible_set(problem, [0.0, 0.0], [30.0, 30.0])
     decomp = enumerate_regions(problem, theta_space, coverage_samples=2000)
     return problem, theta_space, decomp
+
+
+@pytest.fixture(scope="session")
+def study14():
+    """The acceptance study: IEEE 14-bus case, injections at buses 4 and 5.
+
+    Planning-rule line limits (gamma 2, safety 0.6), forecast at half the
+    installed capacities, Laplacian-kernel covariance (kappa 2, tau^2 1)
+    scaled to q = 0.018, a 25% band and MC seed 20240; `build_seconds` is
+    the wall time of the build.
+    """
+    config = AnalysisConfig(case_path=str(case14_path()),
+                            renewable_buses=[4, 5],
+                            gamma_line=2.0, lambda_safety=0.6,
+                            forecast_fraction=0.5, q=0.018,
+                            kappa=2.0, tau_squared=1.0,
+                            err_rel=[0.25], mc_seed=20240)
+    t0 = time.perf_counter()
+    study = build_study(config)
+    study.build_seconds = time.perf_counter() - t0
+    return study

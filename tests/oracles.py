@@ -326,3 +326,52 @@ def locate_brute(decomp, theta):
         return -1
     return min(candidates,
                key=lambda k: tuple(decomp.regions[k].lmp_at(theta)))
+
+
+def locate_scan(decomp, thetas, chunk=4096):
+    """Region index per point from one stacked scan of every closure.
+
+    The locator that `regions.locate` replaced, kept as its reference: every
+    region's rows are padded to a common count with rows 0 <= 0 and stacked,
+    each chunk of points is tested against all of them at once, and points
+    in several closures take the lexicographically smallest price vector.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    regions = decomp.regions
+    d = decomp.theta_space.dim
+    n_rows = max(r.polytope.n_rows for r in regions)
+    G = np.zeros((len(regions), n_rows, d))
+    bound = np.zeros((len(regions), n_rows, 1))
+    for k, r in enumerate(regions):
+        G[k, :r.polytope.n_rows] = r.polytope.G
+        bound[k, :r.polytope.n_rows, 0] = \
+            r.polytope.w + 1e-9 * (1.0 + np.abs(r.polytope.w))
+    G = G.reshape(-1, d)
+    idx = np.full(thetas.shape[0], -1, dtype=np.intp)
+    for lo in range(0, thetas.shape[0], chunk):
+        pts = thetas[lo:lo + chunk]
+        lhs = (G @ pts.T).reshape(len(regions), n_rows, -1)
+        inside = np.all(lhs <= bound, axis=1)  # regions x points
+        count = np.count_nonzero(inside, axis=0)
+        idx[lo:lo + pts.shape[0]] = np.where(count > 0,
+                                             inside.argmax(axis=0), -1)
+        for i in np.flatnonzero(count > 1):  # rare: points on shared faces
+            idx[lo + i] = min(np.flatnonzero(inside[:, i]),
+                              key=lambda k: tuple(regions[k].lmp_at(pts[i])))
+    return idx
+
+
+def brute_vertices(G, w):
+    """Vertices of {x : G x <= w} from every d-subset of rows (small systems)."""
+    G = np.asarray(G, dtype=float)
+    w = np.asarray(w, dtype=float)
+    d = G.shape[1]
+    verts = []
+    for rows in itertools.combinations(range(G.shape[0]), d):
+        A = G[list(rows)]
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        x = np.linalg.solve(A, w[list(rows)])
+        if np.all(G @ x <= w + 1e-12 * (1.0 + np.abs(w))):
+            verts.append(x)
+    return np.array(verts)

@@ -44,9 +44,7 @@ import time
 import numpy as np
 import pytest
 
-from lmpspike import (GaussianModel, case14_path, compute_lmp,
-                      locate_region, solve_opf)
-from lmpspike.pipeline import AnalysisConfig, build_study
+from lmpspike import GaussianModel, compute_lmp, locate_region, solve_opf
 from lmpspike.spikes import build_thresholds, decay_rates, rank_nodes
 from lmpspike.stochastic import (compare_ranking, empirical_density,
                                  find_modes, mc_spike_probabilities, sample)
@@ -63,20 +61,6 @@ MC_SEED = 20240
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def study14():
-    config = AnalysisConfig(case_path=str(case14_path()),
-                            renewable_buses=[4, 5],
-                            gamma_line=2.0, lambda_safety=0.6,
-                            forecast_fraction=0.5, q=0.018,
-                            kappa=2.0, tau_squared=1.0,
-                            err_rel=[0.25], mc_seed=MC_SEED)
-    t0 = time.perf_counter()
-    study = build_study(config)
-    study.build_seconds = time.perf_counter() - t0
-    return study
 
 
 @pytest.fixture(scope="module")

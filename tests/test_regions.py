@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmpspike import (GridCase, Generator, InfeasibleError, Line,
+from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
+                      Line, Polytope, RegionDecomposition,
                       SingularActiveSetError, assemble_mpqp, compute_lmp,
                       enumerate_regions, feasible_set, load_decomposition,
                       locate, locate_region, optimal_partition,
                       region_lmp_map, save_decomposition, solve_opf)
 from lmpspike.opf import OptimalPartition
+from lmpspike.polytope import box_polytope
+from lmpspike.regions import LOCATE_CHUNK
+from lmpspike.stochastic import sample
 
-from oracles import (distinct_interior_partitions, grid_partition_map,
-                     locate_brute, toy2r_lmp)
+from oracles import (brute_vertices, distinct_interior_partitions,
+                     grid_partition_map, locate_brute, locate_scan,
+                     toy2r_lmp)
 
 
 # -- feasible parameter set ----------------------------------------------------
@@ -227,6 +234,162 @@ def test_locate_matches_brute_force_oracle(toy_ring):
     shared = sum(sum(r.polytope.contains(f) for r in decomp.regions) > 1
                  for f in facets)
     assert shared > 0
+
+
+@pytest.fixture(scope="module", params=["toy_ring", "toy2r", "study14"])
+def any_decomp(request):
+    system = request.getfixturevalue(request.param)
+    return system.decomposition if request.param == "study14" else system[2]
+
+
+def _uniform_inside(decomp, rng, n):
+    space = decomp.theta_space
+    lo, hi = space.bounding_box()
+    pts = np.empty((0, space.dim))
+    while pts.shape[0] < n:
+        cand = rng.uniform(lo, hi, size=(4 * n, space.dim))
+        pts = np.vstack([pts, cand[np.all(cand @ space.G.T <= space.w,
+                                          axis=1)]])
+    return pts[:n]
+
+
+def _boundary_probes(decomp, rng, n):
+    """Points jittered off facet points (along the facet normal) and
+    vertices (in a random direction) by 1e-12 to 1e-3 relative, both sides."""
+    bases, directions = [], []
+    for r in decomp.regions:
+        for i in range(r.polytope.n_rows):
+            fp = r.polytope.facet_point(i)
+            if fp is not None:
+                bases.append(fp)
+                directions.append(r.polytope.G[i])
+        for v in r.polytope.vertices():
+            bases.append(v)
+            directions.append(None)
+    d = decomp.theta_space.dim
+    probes = np.empty((n, d))
+    for j in range(n):
+        k = rng.integers(len(bases))
+        step = directions[k]
+        if step is None:
+            step = rng.standard_normal(d)
+            step /= np.linalg.norm(step)
+        scale = 1.0 + np.abs(bases[k]).max()
+        offset = 10.0 ** rng.uniform(-12.0, -3.0) * scale
+        probes[j] = bases[k] + rng.choice([-1.0, 1.0]) * offset * step
+    return probes
+
+
+def _locate_counting_scans(decomp, pts):
+    """`locate` indices and the number of points that got the full scan."""
+    loc = decomp.locator()
+    scanned = []
+
+    def scan(thetas, full_scan=loc.scan):
+        scanned.append(thetas.shape[0])
+        return full_scan(thetas)
+
+    loc.scan = scan
+    try:
+        return locate(decomp, pts), sum(scanned)
+    finally:
+        del loc.scan
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_locate_past_the_pilot_matches_brute_force_oracle(any_decomp, seed):
+    """Thousands of points past the pilot chunk, jittered across the margin
+    band around facets and vertices, against the one-region-at-a-time rule,
+    also in orders whose pilot does not represent the rest."""
+    decomp = any_decomp
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pilot = _uniform_inside(decomp, rng, LOCATE_CHUNK)
+    probes = _boundary_probes(decomp, rng, 3000)
+    pts = np.vstack([pilot, probes])
+    got, scanned = _locate_counting_scans(decomp, pts)
+    expected = np.array([locate_brute(decomp, p) for p in probes])
+    assert np.array_equal(got[LOCATE_CHUNK:], expected)
+    assert np.array_equal(got, locate_scan(decomp, pts))
+    # the margin test settled some probes and left others to the full scan
+    assert LOCATE_CHUNK < scanned < pts.shape[0]
+    assert np.array_equal(locate(decomp, pts[::-1]), got[::-1])
+    by_region = np.argsort(got, kind="stable")
+    assert np.array_equal(locate(decomp, pts[by_region]), got[by_region])
+
+
+def test_locate_matches_stacked_scan_on_study_samples(study14):
+    decomp = study14.decomposition
+    thetas = sample(study14.model, 100_000, seed=20240)
+    got, scanned = _locate_counting_scans(decomp, thetas)
+    assert np.array_equal(got, locate_scan(decomp, thetas))
+    assert scanned < 2 * LOCATE_CHUNK
+
+
+def test_margin_bounds_every_closure_vertex_distance(any_decomp):
+    """Each vertex of a region's closure G x <= w + 1e-9 (1 + |w|) lies
+    closer to a vertex of the region than the margin."""
+    margin = any_decomp.locator().margin
+    for r in any_decomp.regions:
+        G, w = r.polytope.G, r.polytope.w
+        outer = brute_vertices(G, w + 1e-9 * (1.0 + np.abs(w)))
+        inner = brute_vertices(G, w)
+        gaps = np.linalg.norm(outer[:, None] - inner[None], axis=2)
+        assert gaps.min(axis=1).max() < margin
+
+
+def _wedge_region(rid, G, w, price):
+    poly = Polytope.from_rows(G, w).normalized()
+    center, radius = poly.chebyshev()
+    return CriticalRegion(id=rid, partition=OptimalPartition((0, rid + 2), (),
+                                                             ()),
+                          polytope=poly, lmp_C=np.zeros((1, 2)),
+                          lmp_c=np.array([price]),
+                          dispatch_G=np.zeros((1, 2)),
+                          dispatch_g0=np.zeros(1),
+                          chebyshev_center=center, chebyshev_radius=radius,
+                          licq_ok=True)
+
+
+def test_closure_of_an_acute_wedge_goes_through_the_tie_rule():
+    """The 1e-9 inflation moves the tip of a thin wedge (half-angle ~1e-3)
+    about 1e-6 into the box below it, far beyond the box's own tolerance; a
+    point there lies in both closures and takes the wedge's lower price."""
+    s = 1e-3
+    wedge = _wedge_region(0, [[1.0, -s], [-1.0, -s], [0.0, 1.0]],
+                          [0.0, 0.0, 1.0], price=1.0)
+    below = box_polytope([-1.0, -1.0], [1.0, 0.0])
+    box = _wedge_region(1, below.G, below.w, price=2.0)
+    decomp = RegionDecomposition(regions=[wedge, box],
+                                 theta_space=box_polytope([-1.0, -1.0],
+                                                          [1.0, 1.0]))
+    tip = np.array([0.0, -0.5e-6])
+    assert box.polytope.contains(tip, tol=-1e-7)  # deep inside the box
+    assert wedge.polytope.contains(tip)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    pilot = rng.uniform([-0.9, -0.9], [0.9, -0.1], size=(LOCATE_CHUNK, 2))
+    pts = np.vstack([pilot, tip])
+    got = locate(decomp, pts)
+    assert locate_brute(decomp, tip) == 0
+    assert got[-1] == 0
+    assert (got[:-1] == 1).all()
+
+
+def test_unbounded_region_turns_the_margin_test_off():
+    """Without a vertex set there is no margin; every point gets the scan."""
+    half_line = Polytope.from_rows([[1.0]], [1.0])
+    region = CriticalRegion(id=0, partition=OptimalPartition((0,), (), ()),
+                            polytope=half_line, lmp_C=np.zeros((1, 1)),
+                            lmp_c=np.zeros(1), dispatch_G=np.zeros((1, 1)),
+                            dispatch_g0=np.zeros(1),
+                            chebyshev_center=np.zeros(1),
+                            chebyshev_radius=1.0, licq_ok=True)
+    decomp = RegionDecomposition(regions=[region], theta_space=half_line)
+    pts = np.linspace(-3.0, 3.0, 2 * LOCATE_CHUNK)[:, None]
+    got, scanned = _locate_counting_scans(decomp, pts)
+    assert decomp.locator().margin == np.inf
+    assert scanned == pts.shape[0]
+    assert np.array_equal(got, np.where(pts[:, 0] <= 1.0 + 2e-9, 0, -1))
 
 
 def test_locate_on_jump_face_takes_lexicographic_smallest(toy2r):
