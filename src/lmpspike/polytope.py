@@ -2,10 +2,11 @@
 
 A polytope pairs its halfspace rows with a cached vertex set, computed once by
 a qhull halfspace intersection (`scipy.spatial.HalfspaceIntersection`) seeded
-at the Chebyshev center, or in closed form for an interval.  Redundancy
-removal, support values, bounding boxes and facet points are read off the
-vertices.  LPs (HiGHS) remain only for the Chebyshev center, which also
-decides emptiness.  Fourier-Motzkin projection with per-step pruning handles
+at the Chebyshev center, or in closed form for an interval, and with its
+unit-norm form, also computed once, in one array pass.  Redundancy removal,
+support values, bounding boxes and facet points are read off the vertices.
+LPs (HiGHS) remain only for the Chebyshev center, which also decides
+emptiness.  Fourier-Motzkin projection with per-step pruning handles
 the feasible-parameter-set construction, where a handful of dispatch variables
 get eliminated from the joint constraint system.
 """
@@ -28,6 +29,9 @@ FLAT_TOL = 1e-9
 # slack within which a vertex lies on a row's hyperplane, and the spread a
 # facet's vertices need to span it
 FACET_TOL = 1e-8
+# rows per block of the pairwise near-duplicate test, which holds one
+# block x rows matrix at a time
+DUP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,7 @@ class Polytope:
     w: np.ndarray
     _cheb: tuple[np.ndarray, float] | None = field(default=None, compare=False)
     _verts: np.ndarray | None = field(default=None, compare=False)
+    _norm: Polytope | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_rows(G, w) -> "Polytope":
@@ -54,21 +59,24 @@ class Polytope:
         return self.G.shape[0]
 
     def normalized(self) -> "Polytope":
-        """Scale every row to unit norm; drop trivially true constant rows."""
-        G, w = [], []
-        for gi, wi in zip(self.G, self.w):
-            r = np.linalg.norm(gi)
-            if r <= ZERO_ROW_TOL:
-                if wi < -1e-9:
-                    # 0 <= w with w < 0: keep a marker row that makes the set empty
-                    G.append(np.zeros(self.dim))
-                    w.append(float(wi))
-                continue
-            G.append(gi / r)
-            w.append(wi / r)
-        if not G:
-            return Polytope(np.zeros((0, self.dim)), np.zeros(0))
-        return Polytope(np.asarray(G), np.asarray(w))
+        """Scale every row to unit norm; drop trivially true constant rows.
+
+        Computed once and cached.  The result carries no cache of its own:
+        normalizing it again divides by norms a few ulps off 1, and the
+        Chebyshev centers depend on those bits.
+        """
+        if self._norm is None:
+            # sqrt of vecdot rounds exactly like np.linalg.norm of each row
+            r = np.sqrt(np.vecdot(self.G, self.G))
+            flat = r <= ZERO_ROW_TOL
+            # 0 <= w with w < 0: keep a marker row that makes the set empty
+            keep = ~flat | (self.w < -1e-9)
+            r[flat] = 1.0
+            G = self.G / r[:, None]
+            G[flat] = 0.0
+            object.__setattr__(self, "_norm",
+                               Polytope(G[keep], (self.w / r)[keep]))
+        return self._norm
 
     def intersect(self, other: "Polytope") -> "Polytope":
         return Polytope(np.vstack([self.G, other.G]),
@@ -199,16 +207,24 @@ class Polytope:
 
 
 def _distinct_rows(G, w) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with near-duplicates dropped; the first copy of each stays."""
-    keep: list[int] = []
-    for i in range(G.shape[0]):
-        if keep:
-            Gk, wk = G[keep], w[keep]
-            dup = ((np.abs(Gk - G[i]).max(axis=1) <= 1e-9)
-                   & (np.abs(w[i] - wk) <= 1e-9 * (1.0 + np.abs(wk))))
-            if dup.any():
-                continue
-        keep.append(i)
+    """Rows with near-duplicates dropped; the first kept copy of each stays.
+
+    Row i nearly duplicates an earlier row k when no coefficient differs by
+    more than 1e-9 and |w_i - w_k| <= 1e-9 (1 + |w_k|).  The relation is not
+    transitive, so a row whose earlier near-duplicates were all dropped
+    stays; only rows with some earlier near-duplicate need that check.
+    """
+    n = G.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for lo in range(0, n, DUP_BLOCK):
+        hi = min(lo + DUP_BLOCK, n)
+        # near[i - lo, k]: row i nearly duplicates the earlier row k
+        near = np.abs(w[lo:hi, None] - w[:hi]) <= 1e-9 * (1.0 + np.abs(w[:hi]))
+        near &= np.arange(hi) < np.arange(lo, hi)[:, None]
+        for col in G.T:
+            near &= np.abs(col[lo:hi, None] - col[:hi]) <= 1e-9
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[lo + i] = not np.any(near[i] & keep[:hi])
     return G[keep], w[keep]
 
 

@@ -4,7 +4,10 @@ For a fixed binding set the KKT system is affine in the injection theta, so
 dispatch, duals and nodal prices are affine on the polytope where that
 binding set stays optimal.  This module projects out the feasible parameter
 set, enumerates all full-dimensional critical regions by stepping across
-facets, and attaches the affine price/dispatch maps.  Point location
+facets, and attaches the affine price/dispatch maps.  A facet step reads the
+neighbour's binding set off the crossed facet and certifies it with one small
+KKT solve; only a step that certificate cannot settle solves the dispatch
+problem, and those fallbacks are counted.  Point location
 (`locate`) is the one region lookup every caller uses, the Monte Carlo fast
 path included; it breaks ties lexicographically on the shared faces where the
 price map may jump.  Its `Locator`, built once per decomposition, settles a
@@ -16,14 +19,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
 from .opf import (LINE_LOWER, LINE_UPPER, MPQPProblem, OptimalPartition,
-                  licq_check, optimal_partition, parametric_kkt, solve_opf)
+                  _check_partition_consistency, _split_binding, licq_check,
+                  optimal_partition, parametric_kkt, solve_opf)
 from .polytope import Polytope, box_polytope, fourier_motzkin
 
 DEFAULT_MAX_EXPANSIONS = 10 ** 6
@@ -93,6 +97,10 @@ class RegionDecomposition:
     theta_space: Polytope
     coverage_volume_ratio: float = float("nan")
     degenerate_diagnostics: list[str] = field(default_factory=list)
+    # facet steps settled by `_certified_crossing`, and those that fell back
+    # to a dispatch solve; run statistics, not part of the saved file
+    certified_crossings: int = 0
+    fallback_solves: int = 0
     _locator: "Locator | None" = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -160,11 +168,10 @@ def _region_polytope(problem: MPQPProblem, kkt, theta_space: Polytope) -> Polyto
 
 
 def _build_region(problem: MPQPProblem, partition: OptimalPartition,
-                  theta_space: Polytope, min_radius: float):
+                  theta_space: Polytope, min_radius: float, kkts: dict):
     """Construct the region for a partition; returns (region, reason)."""
-    try:
-        kkt = parametric_kkt(problem, partition.binding_ineq)
-    except SingularActiveSetError:
+    kkt = _cached_kkt(problem, kkts, partition.binding_ineq)
+    if kkt is None:
         return None, f"partition {partition}: singular KKT (rank deficient)"
     poly = _region_polytope(problem, kkt, theta_space)
     if poly.is_empty():
@@ -182,6 +189,79 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
                             chebyshev_radius=radius,
                             licq_ok=licq_check(partition, problem.n_g))
     return region, None
+
+
+def _cached_kkt(problem: MPQPProblem, kkts: dict, binding_ineq):
+    """`parametric_kkt` through a cache keyed by the sorted binding rows;
+    None for a singular binding set."""
+    key = tuple(sorted(binding_ineq))
+    if key not in kkts:
+        try:
+            kkts[key] = parametric_kkt(problem, key)
+        except SingularActiveSetError:
+            kkts[key] = None
+    return kkts[key]
+
+
+def _kkt_point(problem: MPQPProblem, kkt, theta):
+    """Row residuals A g - b - E theta and binding-row multipliers at theta,
+    evaluated as `solve_opf` and `optimal_partition` evaluate them."""
+    g = kkt.g0 + kkt.Gg @ theta
+    resid = problem.A @ g - problem.b - problem.E @ theta
+    return resid, kkt.nu0 + kkt.NuT @ theta
+
+
+def _dual_floor(nu) -> float:
+    """Multiplier a certified binding row must exceed: twice the tolerance
+    `solve_opf` grants a negative one."""
+    return 2e-7 * (1.0 + np.abs(nu).max(initial=0.0))
+
+
+def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
+    """Binding set at theta, read off the crossed facet without a solve.
+
+    The current region's KKT point at theta proposes the neighbour: rows
+    that turn active join, binding rows whose multiplier falls to the floor
+    below leave; failing that, every swap of one joining row for one binding
+    row is tried (a facet where one row replaces another).  A proposal S
+    passes when its own KKT point at theta has every row off S feasible by
+    more than twice the binding tolerance, every row of S (and the balance)
+    within half of it, and every multiplier above the floor 2e-7 (1 +
+    max|nu|).  H is positive definite, so that
+    point is the unique optimum, and a solve at theta finds exactly these
+    binding rows on its canonical path: the returned partition and the
+    nondegenerate verdict are what `_partition_at` returns.  None when no
+    proposal passes.
+    """
+    tol = problem.act_tolerance()
+    resid, nu = _kkt_point(problem, _cached_kkt(problem, kkts, binding), theta)
+    floor = _dual_floor(nu)
+    joining = [i for i in range(2, problem.n_rows)
+               if i not in binding and resid[i] > -tol[i]]
+    leaving = {j for j, v in zip(binding, nu) if v <= floor}
+    proposals = [(set(binding) | set(joining)) - leaving]
+    proposals += [set(binding) - {j} | {i} for i in joining for j in binding]
+    for rows in proposals:
+        rows = tuple(sorted(rows))
+        if 1 + len(rows) > problem.n_g:
+            continue
+        kkt = _cached_kkt(problem, kkts, rows)
+        if kkt is None:
+            continue
+        resid, nu = _kkt_point(problem, kkt, theta)
+        on = np.zeros(problem.n_rows, dtype=bool)
+        on[[0, 1, *rows]] = True
+        if not (np.all(np.abs(resid[on]) <= 0.5 * tol[on])
+                and np.all(resid[~on] < -2.0 * tol[~on])
+                and np.all(nu > _dual_floor(nu))):
+            continue
+        part = _split_binding(problem, rows)
+        try:
+            _check_partition_consistency(problem, part)
+        except NumericalError:
+            continue
+        return part
+    return None
 
 
 def _partition_at(problem: MPQPProblem, theta):
@@ -229,10 +309,17 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
     """Explore the full decomposition by stepping beyond region facets.
 
     Starting from the region containing the Chebyshev center, every facet of
-    every discovered region is probed a small distance beyond its hyperplane;
-    the dispatch problem solved there yields the neighboring binding set.
-    Regions are deduplicated by binding-set key, so the output is independent
-    of exploration order; ids are assigned by sorted key at the end.
+    every discovered region is probed a small distance beyond its hyperplane.
+    The neighbouring binding set there comes from the crossed facet: the
+    current region's KKT point proposes it and the proposal's own KKT point
+    certifies it (`_certified_crossing`), with no solve.  A step no proposal
+    passes (a degenerate face, an LICQ failure, a neighbour that is not one
+    row away) falls back to solving the dispatch problem there; both cases
+    are counted on the result (`certified_crossings`, `fallback_solves`).  A
+    certified set is the one the solve would return, so the regions do not
+    depend on which way a step went.  Regions are deduplicated by
+    binding-set key, so the output is independent of exploration order; ids
+    are assigned by sorted key at the end.
     """
     center, radius = theta_space.chebyshev()
     if not np.isfinite(radius) or radius <= 0.0:
@@ -243,15 +330,17 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
 
     seen: dict[tuple[int, ...], CriticalRegion] = {}
     dead: set[tuple[int, ...]] = set()
+    kkts: dict = {}
     diagnostics: list[str] = []
     queue: deque[OptimalPartition] = deque([_seed_partition(problem, theta_space)])
-    expansions = 0
+    expansions = certified = fallback = 0
 
     while queue:
         part = queue.popleft()
         if part.key in seen or part.key in dead:
             continue
-        region, reason = _build_region(problem, part, theta_space, min_radius)
+        region, reason = _build_region(problem, part, theta_space, min_radius,
+                                       kkts)
         if region is None:
             dead.add(part.key)
             diagnostics.append(reason)
@@ -271,13 +360,20 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
                 cand = fp + eps * mult * normal
                 if not theta_space.contains(cand, tol=1e-12):
                     break  # facet lies on the boundary of the parameter set
-                try:
-                    cand_part, degen = _partition_at(problem, cand)
-                except InfeasibleError:
-                    break
-                except NumericalError as exc:
-                    diagnostics.append(f"step from facet failed: {exc}")
-                    continue
+                cand_part = _certified_crossing(problem, kkts,
+                                                part.binding_ineq, cand)
+                degen = False
+                if cand_part is not None:
+                    certified += 1
+                else:
+                    fallback += 1
+                    try:
+                        cand_part, degen = _partition_at(problem, cand)
+                    except InfeasibleError:
+                        break
+                    except NumericalError as exc:
+                        diagnostics.append(f"step from facet failed: {exc}")
+                        continue
                 if degen:
                     continue  # landed on a face; push farther
                 if cand_part.key == part.key:
@@ -295,7 +391,9 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
                               licq_ok=r.licq_ok)
                for i, r in enumerate(regions)]
     decomp = RegionDecomposition(regions=regions, theta_space=theta_space,
-                                 degenerate_diagnostics=diagnostics)
+                                 degenerate_diagnostics=diagnostics,
+                                 certified_crossings=certified,
+                                 fallback_solves=fallback)
     decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
     return decomp
 
@@ -484,15 +582,18 @@ def load_decomposition(path) -> RegionDecomposition:
     for rd in doc["regions"]:
         part = OptimalPartition(tuple(rd["active_set"]), tuple(rd["b_cong"]),
                                 tuple(rd["b_sat"]))
+        center = np.asarray(rd["chebyshev_center"], dtype=float)
+        radius = float(rd["chebyshev_radius"])
+        # the stored center is the polytope's own Chebyshev LP result
+        poly = replace(Polytope.from_rows(rd["G"], rd["w"]),
+                       _cheb=(center, radius))
         regions.append(CriticalRegion(
-            id=int(rd["id"]), partition=part,
-            polytope=Polytope.from_rows(rd["G"], rd["w"]),
+            id=int(rd["id"]), partition=part, polytope=poly,
             lmp_C=np.asarray(rd["C"], dtype=float),
             lmp_c=np.asarray(rd["c"], dtype=float),
             dispatch_G=np.asarray(rd["dispatch_G"], dtype=float),
             dispatch_g0=np.asarray(rd["dispatch_g0"], dtype=float),
-            chebyshev_center=np.asarray(rd["chebyshev_center"], dtype=float),
-            chebyshev_radius=float(rd["chebyshev_radius"]),
+            chebyshev_center=center, chebyshev_radius=radius,
             licq_ok=bool(rd["licq_ok"])))
     decomp = RegionDecomposition(
         regions=regions,

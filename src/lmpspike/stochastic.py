@@ -141,12 +141,17 @@ def evaluate_lmp_samples(samples: np.ndarray, decomposition: RegionDecomposition
     """
     samples = np.asarray(samples, dtype=float)
     idx = locate(decomposition, samples)
-    n_nodes = decomposition.regions[0].lmp_c.size
-    lmp = np.full((samples.shape[0], n_nodes), np.nan)
     hits = np.bincount(idx + 1, minlength=len(decomposition.regions) + 1)
-    for k in np.flatnonzero(hits[1:]):
-        sel = np.flatnonzero(idx == k)
-        lmp[sel] = decomposition.regions[k].lmp_at(samples[sel])
+    occupied = np.flatnonzero(hits[1:])
+    if hits[0] == 0 and occupied.size == 1:
+        # one region holds every sample: price the block as it stands
+        lmp = decomposition.regions[occupied[0]].lmp_at(samples)
+    else:
+        n_nodes = decomposition.regions[0].lmp_c.size
+        lmp = np.full((samples.shape[0], n_nodes), np.nan)
+        for k in occupied:
+            sel = np.flatnonzero(idx == k)
+            lmp[sel] = decomposition.regions[k].lmp_at(samples[sel])
     feasible = idx >= 0
     fallback = 0
     if problem is not None:

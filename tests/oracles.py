@@ -5,7 +5,10 @@ exploration: optima come from exhaustive enumeration of candidate binding
 sets, prices on dense parameter grids from vectorized affine evaluation per
 candidate, tail probabilities from the closed-form normal distribution,
 polytope operations from one HiGHS LP per row or direction, and the QP
-feasibility verdict from an elastic phase-1 LP.
+feasibility verdict from an elastic phase-1 LP.  Row normalization, duplicate
+removal and region enumeration also keep their row-by-row and
+solve-every-step forms here, as the references for the vectorized and
+solve-free versions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from scipy.stats import norm
 
 from lmpspike import lp
 from lmpspike.errors import InfeasibleError, NumericalError
-from lmpspike.polytope import Polytope
+from lmpspike.polytope import ZERO_ROW_TOL, Polytope
+from lmpspike.regions import (CriticalRegion, RegionDecomposition,
+                              _build_region, _partition_at, _seed_partition,
+                              estimate_coverage)
 
 
 def brute_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
@@ -375,3 +381,100 @@ def brute_vertices(G, w):
         if np.all(G @ x <= w + 1e-12 * (1.0 + np.abs(w))):
             verts.append(x)
     return np.array(verts)
+
+
+# -- row-by-row polytope bookkeeping and solve-every-step enumeration --------------
+
+def rowwise_normalized(poly: Polytope) -> Polytope:
+    """Unit-norm rows, one `np.linalg.norm` per row; constant rows that hold
+    are dropped, constant rows 0 <= w < -1e-9 stay as zero marker rows."""
+    G, w = [], []
+    for gi, wi in zip(poly.G, poly.w):
+        r = np.linalg.norm(gi)
+        if r <= ZERO_ROW_TOL:
+            if wi < -1e-9:
+                G.append(np.zeros(poly.dim))
+                w.append(float(wi))
+            continue
+        G.append(gi / r)
+        w.append(wi / r)
+    if not G:
+        return Polytope(np.zeros((0, poly.dim)), np.zeros(0))
+    return Polytope(np.asarray(G), np.asarray(w))
+
+
+def sequential_distinct_rows(G, w):
+    """Near-duplicate rows dropped one row at a time; a row goes when it is
+    within 1e-9 of a row kept before it."""
+    keep: list[int] = []
+    for i in range(G.shape[0]):
+        if keep:
+            Gk, wk = G[keep], w[keep]
+            dup = ((np.abs(Gk - G[i]).max(axis=1) <= 1e-9)
+                   & (np.abs(w[i] - wk) <= 1e-9 * (1.0 + np.abs(wk))))
+            if dup.any():
+                continue
+        keep.append(i)
+    return G[keep], w[keep]
+
+
+def solve_every_step_regions(problem, theta_space, coverage_samples=20000):
+    """Region enumeration that solves the dispatch problem at every facet
+    step, the way it ran before crossings were certified.
+
+    Same seed, breadth-first order, step lengths and region construction as
+    `enumerate_regions`.  Returns the decomposition and the number of
+    facet-step solves, which equals the certified crossings plus the
+    fallback solves of `enumerate_regions` on the same input.
+    """
+    center, radius = theta_space.chebyshev()
+    scale = max(1.0, radius)
+    eps, min_radius = 1e-6 * scale, 1e-9 * scale
+    seen, dead, diagnostics = {}, set(), []
+    queue = [_seed_partition(problem, theta_space)]
+    steps = 0
+    while queue:
+        part = queue.pop(0)
+        if part.key in seen or part.key in dead:
+            continue
+        region, reason = _build_region(problem, part, theta_space, min_radius,
+                                       {})
+        if region is None:
+            dead.add(part.key)
+            diagnostics.append(reason)
+            continue
+        seen[part.key] = region
+        poly = region.polytope
+        for i in range(poly.n_rows):
+            fp = poly.facet_point(i)
+            if fp is None:
+                continue
+            for mult in (1.0, 10.0, 100.0):
+                cand = fp + eps * mult * poly.G[i]
+                if not theta_space.contains(cand, tol=1e-12):
+                    break
+                steps += 1
+                try:
+                    cand_part, degen = _partition_at(problem, cand)
+                except InfeasibleError:
+                    break
+                except NumericalError as exc:
+                    diagnostics.append(f"step from facet failed: {exc}")
+                    continue
+                if degen or cand_part.key == part.key:
+                    continue
+                if cand_part.key not in seen and cand_part.key not in dead:
+                    queue.append(cand_part)
+                break
+    regions = [CriticalRegion(id=k, partition=r.partition, polytope=r.polytope,
+                              lmp_C=r.lmp_C, lmp_c=r.lmp_c,
+                              dispatch_G=r.dispatch_G,
+                              dispatch_g0=r.dispatch_g0,
+                              chebyshev_center=r.chebyshev_center,
+                              chebyshev_radius=r.chebyshev_radius,
+                              licq_ok=r.licq_ok)
+               for k, r in enumerate(seen[key] for key in sorted(seen))]
+    decomp = RegionDecomposition(regions=regions, theta_space=theta_space,
+                                 degenerate_diagnostics=diagnostics)
+    decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
+    return decomp, steps

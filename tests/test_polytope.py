@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
@@ -11,7 +11,7 @@ from lmpspike.errors import InfeasibleError, NumericalError
 from lmpspike.polytope import Polytope, box_polytope, fourier_motzkin
 
 from oracles import (lp_bounding_box, lp_facet_point, lp_remove_redundancy,
-                     lp_support)
+                     lp_support, rowwise_normalized, sequential_distinct_rows)
 
 
 def unit_square():
@@ -247,3 +247,74 @@ def test_projection_matches_lp_reference(poly, data):
     lifted = np.concatenate([u, np.zeros(n_elim)])
     assert proj.support(u) == pytest.approx(lp_support(poly, lifted), abs=1e-9)
     assert lp_remove_redundancy(proj).n_rows == proj.n_rows
+
+
+# -- vectorized bookkeeping against the row-by-row references ---------------------
+
+@st.composite
+def raw_rows(draw):
+    """Rows in 1-7 dimensions with zero, tiny and marker rows mixed in."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 12))
+    coef = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    G, w = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["dense", "dense", "zero", "tiny"]))
+        row = np.array(draw(st.lists(coef, min_size=d, max_size=d)))
+        if kind == "zero":
+            row = np.zeros(d)
+        elif kind == "tiny":
+            row = row * 1e-15
+        G.append(row)
+        w.append(draw(st.sampled_from([-1.0, -2e-9, -5e-10, 0.0]))
+                 if kind != "dense" else draw(coef))
+    return Polytope(np.asarray(G).reshape(n, d), np.asarray(w))
+
+
+@PROPERTY
+@given(raw_rows())
+def test_normalized_is_bit_equal_to_rowwise_reference(poly):
+    ours, ref = poly.normalized(), rowwise_normalized(poly)
+    assert ours.G.shape == ref.G.shape
+    assert np.array_equal(ours.G, ref.G) and np.array_equal(ours.w, ref.w)
+    assert poly.normalized() is ours
+    # a normalized result is normalized afresh, never taken as its own form
+    assert ours.normalized() is not ours
+
+
+@st.composite
+def near_duplicate_rows(draw):
+    """Integer rows plus exact copies and chains of copies each 0.6e-9 from
+    the last, so neighbours are near-duplicates but chain ends are not."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    ints = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    base = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+    rows = [base]
+    for _ in range(draw(st.integers(0, 6))):
+        src = base[draw(st.integers(0, n - 1))]
+        step = np.array(draw(st.lists(st.sampled_from([0.0, 0.6e-9, -0.6e-9]),
+                                      min_size=d + 1, max_size=d + 1)))
+        length = draw(st.integers(1, 4))
+        rows.append(src + np.arange(1, length + 1)[:, None] * step)
+    rows = np.vstack(rows)
+    order = draw(st.permutations(range(rows.shape[0])))
+    return rows[order, :d], rows[order, d]
+
+
+@PROPERTY
+@given(near_duplicate_rows(), st.sampled_from([2, 3, polytope.DUP_BLOCK]))
+# rows 0 ~ 1 ~ 2 but not 0 ~ 2: row 1 goes, so row 2 stays
+@example((np.array([[1.0], [1.0 + 0.6e-9], [1.0 + 1.2e-9]]), np.zeros(3)),
+         polytope.DUP_BLOCK)
+def test_distinct_rows_match_sequential_reference(rows, block):
+    G, w = rows
+    saved = polytope.DUP_BLOCK
+    polytope.DUP_BLOCK = block
+    try:
+        ours = polytope._distinct_rows(G, w)
+    finally:
+        polytope.DUP_BLOCK = saved
+    ref = sequential_distinct_rows(G, w)
+    assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
+

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
                       Line, Polytope, RegionDecomposition,
-                      SingularActiveSetError, assemble_mpqp, compute_lmp,
-                      enumerate_regions, feasible_set, load_decomposition,
-                      locate, locate_region, optimal_partition,
-                      region_lmp_map, save_decomposition, solve_opf)
+                      SingularActiveSetError, assemble_mpqp, case14_path,
+                      compute_lmp, enumerate_regions, feasible_set,
+                      load_decomposition, locate, locate_region, lp,
+                      optimal_partition, region_lmp_map, save_decomposition,
+                      solve_opf)
 from lmpspike.opf import OptimalPartition
+from lmpspike.pipeline import AnalysisConfig, build_study
 from lmpspike.polytope import box_polytope
-from lmpspike.regions import LOCATE_CHUNK
+from lmpspike.regions import (LOCATE_CHUNK, _certified_crossing,
+                              _partition_at)
 from lmpspike.stochastic import sample
 
 from oracles import (brute_vertices, distinct_interior_partitions,
                      grid_partition_map, locate_brute, locate_scan,
-                     toy2r_lmp)
+                     solve_every_step_regions, toy2r_lmp)
 
 
 # -- feasible parameter set ----------------------------------------------------
@@ -175,6 +178,81 @@ def test_enumeration_independent_of_step_size(toy_ring):
         == {r.partition.key for r in decomp.regions}
 
 
+@pytest.fixture(scope="module", params=["toy_ring", "toy2r", "study14"])
+def any_system(request):
+    """(problem, parameter set, decomposition) of each enumerated system."""
+    system = request.getfixturevalue(request.param)
+    if request.param == "study14":
+        return system.problem, system.theta_space, system.decomposition
+    return system
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_certified_crossing_equals_a_solve(any_system, seed):
+    """At facet points stepped 1e-6, 1e-5 and 1e-4 of the scale past every
+    facet of every region, and jittered, a certified binding set is what a
+    dispatch solve there returns, nondegenerate."""
+    problem, theta_space, decomp = any_system
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    scale = max(1.0, theta_space.chebyshev()[1])
+    certified = 0
+    for region in decomp.regions:
+        poly, binding = region.polytope, region.partition.binding_ineq
+        for i in range(poly.n_rows):
+            fp = poly.facet_point(i)
+            for step in (1e-6, 1e-5, 1e-4):
+                jitter = rng.uniform(-1.0, 1.0, poly.dim) * step * scale
+                for cand in (fp + step * scale * poly.G[i],
+                             fp + step * scale * poly.G[i] + jitter):
+                    if not theta_space.contains(cand, tol=1e-12):
+                        continue
+                    part = _certified_crossing(problem, {}, binding, cand)
+                    if part is None:
+                        continue
+                    certified += 1
+                    assert _partition_at(problem, cand) == (part, False)
+    assert certified > 0
+
+
+def test_enumeration_equals_the_solve_every_step_reference(any_system):
+    """Same regions, rows, maps, Chebyshev centers and diagnostics, bit for
+    bit, and every facet step is counted as certified or as a fallback."""
+    problem, theta_space, decomp = any_system
+    ref, steps = solve_every_step_regions(problem, theta_space,
+                                          coverage_samples=0)
+    ours = enumerate_regions(problem, theta_space, coverage_samples=0)
+    assert ours.degenerate_diagnostics == ref.degenerate_diagnostics
+    assert [r.partition for r in ours.regions] \
+        == [r.partition for r in ref.regions]
+    for a, b in zip(ours.regions, ref.regions):
+        for name in ("lmp_C", "lmp_c", "dispatch_G", "dispatch_g0",
+                     "chebyshev_center"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.chebyshev_radius == b.chebyshev_radius
+        assert np.array_equal(a.polytope.G, b.polytope.G)
+        assert np.array_equal(a.polytope.w, b.polytope.w)
+        assert np.array_equal(a.polytope.chebyshev()[0],
+                              b.polytope.chebyshev()[0])
+    assert ours.certified_crossings + ours.fallback_solves == steps
+    assert ours.certified_crossings > 0
+
+
+def test_fallback_solves_are_counted_and_rare(tmp_path):
+    """On case14 with renewables at 4, 5, 9 and 10 at most 5% of facet steps
+    solve the dispatch problem; the counts stay out of the saved file."""
+    study = build_study(AnalysisConfig(
+        case_path=str(case14_path()), renewable_buses=[4, 5, 9, 10],
+        gamma_line=2.0, lambda_safety=0.6, forecast_fraction=0.3, q=0.018))
+    decomp = study.decomposition
+    steps = decomp.certified_crossings + decomp.fallback_solves
+    assert decomp.n_regions == 50 and steps > 0
+    assert decomp.fallback_solves <= 0.05 * steps
+    save_decomposition(decomp, tmp_path / "d.json")
+    text = (tmp_path / "d.json").read_text()
+    assert "certified" not in text and "fallback" not in text
+
+
 def test_continuity_on_shared_facets_under_rank_condition(toy_ring):
     """Neighboring maps agree on a shared facet when the merged binding set
     still satisfies the counting condition."""
@@ -236,10 +314,9 @@ def test_locate_matches_brute_force_oracle(toy_ring):
     assert shared > 0
 
 
-@pytest.fixture(scope="module", params=["toy_ring", "toy2r", "study14"])
-def any_decomp(request):
-    system = request.getfixturevalue(request.param)
-    return system.decomposition if request.param == "study14" else system[2]
+@pytest.fixture(scope="module")
+def any_decomp(any_system):
+    return any_system[2]
 
 
 def _uniform_inside(decomp, rng, n):
@@ -463,3 +540,26 @@ def test_save_load_roundtrip(tmp_path, toy_ring):
     r1, v1 = locate_region(decomp, theta)
     r2, v2 = locate_region(loaded, theta)
     assert r1.id == r2.id and np.array_equal(v1, v2)
+
+
+def test_loaded_decomposition_locates_without_lps(tmp_path, toy_ring,
+                                                  monkeypatch):
+    """The stored Chebyshev centers seed the loaded polytopes, so building
+    the locator of a loaded decomposition runs no LP."""
+    _, _, decomp = toy_ring
+    save_decomposition(decomp, tmp_path / "decomp.json")
+    loaded = load_decomposition(tmp_path / "decomp.json")
+    pts = _uniform_inside(decomp, np.random.Generator(np.random.Philox(key=7)),
+                          500)
+    expected = locate(decomp, pts)
+    calls = []
+
+    def counting(*args, solve=lp.solve_lp, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    assert np.array_equal(locate(loaded, pts), expected)
+    assert calls == []
+    for a, b in zip(decomp.regions, loaded.regions):
+        assert np.array_equal(b.polytope.chebyshev()[0], a.chebyshev_center)
