@@ -17,7 +17,7 @@ from .opf import (LMPVector, MPQPProblem, OPFSolution, OptimalPartition,
                   solve_opf)
 from .polytope import Polytope
 from .regions import (CriticalRegion, RegionDecomposition, enumerate_regions,
-                      feasible_set, load_decomposition, locate, locate_region,
+                      load_decomposition, locate, locate_region,
                       region_lmp_map, save_decomposition)
 from .spikes import (GaussianModel, NodeRanking, SpikeAnalysis, SpikeSpec,
                      approx_probability, build_thresholds, decay_rates,

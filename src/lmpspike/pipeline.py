@@ -1,10 +1,10 @@
 """End-to-end orchestration: config, study assembly, batch outputs.
 
 A study fixes the deterministic half of the analysis (case, limits, PTDF,
-parametric problem, feasible set, critical regions) plus the Gaussian
-injection model.  Installed capacities are read off the feasible set's axis
-maxima, the forecast mean as a fraction of installed capacity unless given
-explicitly, and the covariance from the Laplacian kernel unless given
+parametric problem, critical regions and the parameter set they tile) plus
+the Gaussian injection model.  Installed capacities are read off that set's
+axis maxima, the forecast mean as a fraction of installed capacity unless
+given explicitly, and the covariance from the Laplacian kernel unless given
 explicitly.  Command helpers then produce region exports, decay-rate
 rankings, and Monte Carlo validation files; every run snapshots its resolved
 configuration next to its outputs and writes nothing nondeterministic.
@@ -23,9 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import GridCase, build_ptdf, derive_line_limits, load_case
 from .opf import MPQPProblem, assemble_mpqp, compute_lmp, solve_opf
-from .polytope import Polytope
-from .regions import (RegionDecomposition, enumerate_regions, feasible_set,
-                      save_decomposition)
+from .regions import RegionDecomposition, enumerate_regions, save_decomposition
 from .spikes import (GaussianModel, SpikeSpec, build_thresholds, decay_rates,
                      rank_nodes, write_decay_csv)
 from .stochastic import (CovarianceSpec, build_covariance, compare_ranking,
@@ -111,7 +109,6 @@ class Study:
     config: AnalysisConfig
     case: GridCase
     problem: MPQPProblem
-    theta_space: Polytope
     installed: np.ndarray
     model: GaussianModel
     decomposition: RegionDecomposition
@@ -147,9 +144,9 @@ def build_study(config: AnalysisConfig) -> Study:
     problem = assemble_mpqp(case, ptdf)
     hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
                                    for g in case.generators) + 1.0
-    theta_space = feasible_set(problem, box_lo=np.zeros(case.n_theta),
-                               box_hi=np.full(case.n_theta, hi))
-    installed = np.array([theta_space.support(e)
+    decomposition = enumerate_regions(problem, box_lo=np.zeros(case.n_theta),
+                                      box_hi=np.full(case.n_theta, hi))
+    installed = np.array([decomposition.theta_space.support(e)
                           for e in np.eye(case.n_theta)])
     if config.mu_theta is not None:
         mu = np.asarray(config.mu_theta, dtype=float)
@@ -162,10 +159,9 @@ def build_study(config: AnalysisConfig) -> Study:
             q=config.q, installed=installed, kappa=config.kappa,
             tau_squared=config.tau_squared))
     model = GaussianModel(mu, sigma, epsilon=config.epsilon)
-    decomposition = enumerate_regions(problem, theta_space)
     lmp_at_mean = compute_lmp(solve_opf(problem, mu), ptdf).values
     return Study(config=config, case=case, problem=problem,
-                 theta_space=theta_space, installed=installed, model=model,
+                 installed=installed, model=model,
                  decomposition=decomposition, lmp_at_mean=lmp_at_mean)
 
 

@@ -6,9 +6,7 @@ at the Chebyshev center, or in closed form for an interval, and with its
 unit-norm form, also computed once, in one array pass.  Redundancy removal,
 support values, bounding boxes and facet points are read off the vertices.
 LPs (HiGHS) remain only for the Chebyshev center, which also decides
-emptiness.  Fourier-Motzkin projection with per-step pruning handles
-the feasible-parameter-set construction, where a handful of dispatch variables
-get eliminated from the joint constraint system.
+emptiness.
 """
 
 from __future__ import annotations
@@ -77,10 +75,6 @@ class Polytope:
             object.__setattr__(self, "_norm",
                                Polytope(G[keep], (self.w / r)[keep]))
         return self._norm
-
-    def intersect(self, other: "Polytope") -> "Polytope":
-        return Polytope(np.vstack([self.G, other.G]),
-                        np.concatenate([self.w, other.w]))
 
     def contains(self, x, tol=1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -244,38 +238,3 @@ def box_polytope(lo, hi) -> Polytope:
     d = lo.size
     eye = np.eye(d)
     return Polytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
-
-
-def fourier_motzkin(A, b, eliminate, prune_tol=1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Project {x : A x <= b} onto the coordinates not in `eliminate`.
-
-    Eliminated columns are removed one at a time; after each elimination the
-    system is pruned by vertex-based redundancy removal to keep the row count
-    from exploding.  Returns rows over the surviving coordinates, in their original
-    order.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
-    eliminate = sorted(eliminate, reverse=True)
-    for col in eliminate:
-        coeff = A[:, col]
-        pos = np.where(coeff > ZERO_ROW_TOL)[0]
-        neg = np.where(coeff < -ZERO_ROW_TOL)[0]
-        zero = np.where(np.abs(coeff) <= ZERO_ROW_TOL)[0]
-        rows = [np.delete(A[zero], col, axis=1)]
-        rhs = [b[zero]]
-        for i in pos:
-            for j in neg:
-                # combine a_i x <= b_i (coeff>0) with a_j x <= b_j (coeff<0)
-                lam_i, lam_j = -coeff[j], coeff[i]
-                row = lam_i * A[i] + lam_j * A[j]
-                rows.append(np.delete(row, col).reshape(1, -1))
-                rhs.append(np.atleast_1d(lam_i * b[i] + lam_j * b[j]))
-        A = np.vstack(rows)
-        b = np.concatenate(rhs)
-        p = Polytope(A, b)
-        if p.is_empty():
-            raise InfeasibleError("projection is empty")
-        p = p.remove_redundancy(tol=prune_tol)
-        A, b = p.G, p.w
-    return A, b

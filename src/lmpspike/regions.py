@@ -2,21 +2,24 @@
 
 For a fixed binding set the KKT system is affine in the injection theta, so
 dispatch, duals and nodal prices are affine on the polytope where that
-binding set stays optimal.  This module projects out the feasible parameter
-set, enumerates all full-dimensional critical regions by stepping across
-facets, and attaches the affine price/dispatch maps.  A facet step reads the
-neighbour's binding set off the crossed facet and certifies it with one small
-KKT solve; only a step that certificate cannot settle solves the dispatch
-problem, and those fallbacks are counted.  Point location
-(`locate`) is the one region lookup every caller uses, the Monte Carlo fast
-path included; it breaks ties lexicographically on the shared faces where the
-price map may jump.  Its `Locator`, built once per decomposition, settles a
-point that lies a certified margin inside one region by that region's rows
-alone and scans every closure only for the points near a boundary.
+binding set stays optimal.  This module enumerates all full-dimensional
+critical regions in a box by stepping across facets, and attaches the
+affine price/dispatch maps.  The regions tile the feasible parameter set,
+which is read off the facets past which no dispatch exists.  A facet step
+certifies the neighbour's binding set with one small KKT solve, or proves
+with a Farkas combination that no dispatch exists beyond the facet; only a
+step neither settles solves the dispatch problem, and those fallbacks are
+counted.  Point location (`locate`) is the one region lookup every caller
+uses, the Monte Carlo fast path included; it breaks ties lexicographically
+on the shared faces where the price map may jump.  Its `Locator`, built
+once per decomposition, settles a point that lies a certified margin inside
+one region by that region's rows alone and scans every closure only for the
+points near a boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -24,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lp
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
 from .opf import (LINE_LOWER, LINE_UPPER, MPQPProblem, OptimalPartition,
                   _check_partition_consistency, _split_binding, licq_check,
                   optimal_partition, parametric_kkt, solve_opf)
-from .polytope import Polytope, box_polytope, fourier_motzkin
+from .polytope import FLAT_TOL, Polytope, box_polytope
 
 DEFAULT_MAX_EXPANSIONS = 10 ** 6
 # points per product of the full scan in `Locator`, and the pilot size; the
@@ -36,32 +40,6 @@ DEFAULT_MAX_EXPANSIONS = 10 ** 6
 LOCATE_CHUNK = 1024
 # points per chunk tested against the margin-shrunk rows of one region
 PEEL_CHUNK = 16384
-
-
-def feasible_set(problem: MPQPProblem, box_lo, box_hi,
-                 prune_tol: float = 1e-8) -> Polytope:
-    """Injections for which the dispatch problem is feasible, within a box.
-
-    Computed as the projection of the joint (dispatch, injection) constraint
-    system onto injection space by Fourier-Motzkin elimination with per-step
-    pruning; the result is irredundant.
-    """
-    n_g, n_t = problem.n_g, problem.n_theta
-    if n_t == 0:
-        raise ValueError("problem has no renewable injections to project onto")
-    joint_A = np.hstack([problem.A, -problem.E])
-    box = box_polytope(box_lo, box_hi)
-    box_A = np.hstack([np.zeros((box.n_rows, n_g)), box.G])
-    A = np.vstack([joint_A, box_A])
-    b = np.concatenate([problem.b, box.w])
-    try:
-        F, c = fourier_motzkin(A, b, eliminate=range(n_g), prune_tol=prune_tol)
-        theta_space = Polytope.from_rows(F, c).remove_redundancy()
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"feasible parameter set: {exc}") from None
-    if theta_space.is_empty():
-        raise InfeasibleError("feasible parameter set is empty")
-    return theta_space
 
 
 @dataclass(frozen=True)
@@ -97,9 +75,11 @@ class RegionDecomposition:
     theta_space: Polytope
     coverage_volume_ratio: float = float("nan")
     degenerate_diagnostics: list[str] = field(default_factory=list)
-    # facet steps settled by `_certified_crossing`, and those that fell back
-    # to a dispatch solve; run statistics, not part of the saved file
+    # facet steps settled by `_certified_crossing`, proved to leave the
+    # parameter set by `_proves_infeasible`, and those that fell back to a
+    # dispatch solve; run statistics, not part of the saved file
     certified_crossings: int = 0
+    boundary_steps: int = 0
     fallback_solves: int = 0
     _locator: "Locator | None" = field(default=None, init=False, repr=False,
                                        compare=False)
@@ -150,30 +130,27 @@ def _lmp_map_from_kkt(problem, ptdf, kkt):
     return C, c
 
 
-def _region_polytope(problem: MPQPProblem, kkt, theta_space: Polytope) -> Polytope:
-    """Primal feasibility of inactive rows plus dual feasibility of active ones."""
-    binding = set(kkt.binding_ineq)
+def _region_polytope(problem: MPQPProblem, kkt, box: Polytope) -> Polytope:
+    """Primal feasibility of inactive rows plus dual feasibility of active
+    ones, within the box; the affine dispatch is feasible on all of it."""
     rows, rhs = [], []
+    # row by row: one matrix product rounds differently, and the saved
+    # region rows must not move
     for i in range(2, problem.n_rows):
-        if i in binding:
-            continue
-        rows.append(problem.A[i] @ kkt.Gg - problem.E[i])
-        rhs.append(problem.b[i] - problem.A[i] @ kkt.g0)
-    for k in range(len(kkt.binding_ineq)):
-        rows.append(-kkt.NuT[k])
-        rhs.append(kkt.nu0[k])
-    poly = Polytope.from_rows(np.asarray(rows), np.asarray(rhs)) \
-        if rows else Polytope(np.zeros((0, problem.n_theta)), np.zeros(0))
-    return poly.intersect(theta_space).normalized()
+        if i not in kkt.binding_ineq:
+            rows.append(problem.A[i] @ kkt.Gg - problem.E[i])
+            rhs.append(problem.b[i] - problem.A[i] @ kkt.g0)
+    return Polytope(np.vstack([rows, -kkt.NuT, box.G]),
+                    np.concatenate([rhs, kkt.nu0, box.w])).normalized()
 
 
 def _build_region(problem: MPQPProblem, partition: OptimalPartition,
-                  theta_space: Polytope, min_radius: float, kkts: dict):
+                  box: Polytope, min_radius: float, kkts: dict):
     """Construct the region for a partition; returns (region, reason)."""
     kkt = _cached_kkt(problem, kkts, partition.binding_ineq)
     if kkt is None:
         return None, f"partition {partition}: singular KKT (rank deficient)"
-    poly = _region_polytope(problem, kkt, theta_space)
+    poly = _region_polytope(problem, kkt, box)
     if poly.is_empty():
         return None, f"partition {partition}: empty region"
     _, radius = poly.chebyshev()
@@ -269,30 +246,65 @@ def _partition_at(problem: MPQPProblem, theta):
     return optimal_partition(sol, problem), sol.degenerate
 
 
-def _seed_partition(problem, theta_space):
-    center, radius = theta_space.chebyshev()
-    part, degen = _partition_at(problem, center)
-    if not degen:
-        return part
-    # the center sits on a face: probe a deterministic fan of offsets
-    d = theta_space.dim
-    for frac in (0.3, 0.1, 0.5):
-        for k in range(d):
-            for sign in (1.0, -1.0):
-                cand = center.copy()
-                cand[k] += sign * frac * radius
-                if not theta_space.contains(cand):
-                    continue
-                part, degen = _partition_at(problem, cand)
-                if not degen:
-                    return part
-    # last resort: seeded interior samples (deterministic)
+def _proves_infeasible(problem: MPQPProblem, kkt, theta) -> bool:
+    """Whether the binding rows prove that no dispatch is feasible at theta.
+
+    Farkas: if a row r violated by the KKT dispatch g = g_S(theta) is a_r =
+    c_0 1' + sum_j c_j a_j over the binding rows j with every c_j <= 0, any
+    g' that balances and meets the binding rows has a_r g' >= a_r g > b_r +
+    e_r theta.  Rounding (the representation residual rho, positive c_j that
+    should be 0, the balance and binding residuals s of g) can lower a_r g'
+    by at most |rho| |g' - g| + sum_j max(c_j, 0) |a_j| |g' - g| + |c| |s|
+    over the unit bounds, so r must be violated by more than that.
+    """
+    resid, _ = _kkt_point(problem, kkt, theta)
+    g = kkt.g0 + kkt.Gg @ theta
+    n_g = problem.n_g
+    # the last 2 n_g rows are the unit bounds g <= g_max and -g <= -g_min
+    reach = np.maximum(problem.b[-2 * n_g:-n_g] - g, g + problem.b[-n_g:])
+    rows = [0, *kkt.binding_ineq]
+    basis = problem.A[rows].T
+    for r in np.flatnonzero(resid > 0.0):
+        c = np.linalg.lstsq(basis, problem.A[r], rcond=None)[0]
+        err = (np.abs(basis @ c - problem.A[r]) @ reach
+               + np.maximum(c[1:], 0.0) @ (np.abs(basis[:, 1:].T) @ reach)
+               + np.abs(c) @ np.abs(resid[rows]))
+        if resid[r] > err:
+            return True
+    return False
+
+
+def _joint_lps(problem: MPQPProblem, box: Polytope):
+    """Seed point and axis maxima of the feasible parameter set in the box,
+    from LPs over the joint (dispatch, injection, slack) system: the balance
+    is an equality, every other row is relaxed by slack times its norm.  A
+    largest slack at most FLAT_TOL (an empty or flat set) raises
+    InfeasibleError."""
+    n_g, n = problem.n_g, problem.n_g + problem.n_theta
+    A = np.vstack([np.hstack([problem.A, -problem.E]),
+                   np.hstack([np.zeros((box.n_rows, n_g)), box.G])])
+    A = np.hstack([A, np.sqrt(np.vecdot(A, A))[:, None]])
+    b = np.concatenate([problem.b, box.w])
+    bounds = [(None, None)] * n + [(0.0, None)]
+    balance = np.append(A[0, :n], 0.0)[None]
+    sols = [lp.solve_lp(-e, A_ub=A[2:], b_ub=b[2:], A_eq=balance, b_eq=b[:1],
+                        bounds=bounds)
+            for e in np.eye(n + 1)[[n, *range(n_g, n)]]]
+    if sols[0].status != lp.OPTIMAL or sols[0].x[n] <= FLAT_TOL:
+        raise InfeasibleError("feasible parameter set is empty or "
+                              "lower-dimensional")
+    if any(sol.status != lp.OPTIMAL for sol in sols):
+        raise NumericalError("axis-maximum LP failed")
+    return sols[0].x[n_g:n], np.array([-sol.fun for sol in sols[1:]])
+
+
+def _seed_partition(problem, center, lo, top):
+    """Binding set at the center, or failing that at the first of 500
+    seeded uniform draws below the axis maxima, where the dispatch problem
+    is feasible and nondegenerate."""
     rng = np.random.Generator(np.random.Philox(key=1))
-    lo, hi = theta_space.bounding_box()
-    for _ in range(500):
-        cand = rng.uniform(lo, hi)
-        if not theta_space.contains(cand, tol=-1e-9):
-            continue
+    draws = (rng.uniform(lo, top) for _ in range(500))
+    for cand in itertools.chain([center], draws):
         try:
             part, degen = _partition_at(problem, cand)
         except InfeasibleError:
@@ -302,29 +314,35 @@ def _seed_partition(problem, theta_space):
     raise NumericalError("could not find a nondegenerate seed point")
 
 
-def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
+def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
                       eps_step: float | None = None,
                       max_expansions: int = DEFAULT_MAX_EXPANSIONS,
                       coverage_samples: int = 20000) -> RegionDecomposition:
-    """Explore the full decomposition by stepping beyond region facets.
+    """Critical regions in the box and the parameter set they tile.
 
-    Starting from the region containing the Chebyshev center, every facet of
-    every discovered region is probed a small distance beyond its hyperplane.
-    The neighbouring binding set there comes from the crossed facet: the
-    current region's KKT point proposes it and the proposal's own KKT point
-    certifies it (`_certified_crossing`), with no solve.  A step no proposal
-    passes (a degenerate face, an LICQ failure, a neighbour that is not one
-    row away) falls back to solving the dispatch problem there; both cases
-    are counted on the result (`certified_crossings`, `fallback_solves`).  A
+    Starting from the region that holds the seed of `_joint_lps`, every
+    facet of every discovered region is probed a small distance beyond its
+    hyperplane (scaled by half the smallest width of [box_lo, axis maxima],
+    at least 1); a step that leaves the box stops there.  Otherwise the
+    current region's KKT point proposes the neighbouring binding set and the
+    proposal's own KKT point certifies it (`_certified_crossing`), or the
+    current binding rows prove that no dispatch exists there
+    (`_proves_infeasible`).  A step neither settles (a degenerate face, an
+    LICQ failure, a neighbour that is not one row away) falls back to
+    solving the dispatch problem; the three cases are counted on the result
+    (`certified_crossings`, `boundary_steps`, `fallback_solves`).  A
     certified set is the one the solve would return, so the regions do not
     depend on which way a step went.  Regions are deduplicated by
     binding-set key, so the output is independent of exploration order; ids
-    are assigned by sorted key at the end.
+    are assigned by sorted key at the end.  The facets past which no
+    dispatch exists, with the box, give `theta_space` (`_parameter_set`).
     """
-    center, radius = theta_space.chebyshev()
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise InfeasibleError("parameter set is empty or lower-dimensional")
-    scale = max(1.0, radius)
+    if problem.n_theta == 0:
+        raise ValueError("problem has no renewable injections to enumerate over")
+    box = box_polytope(box_lo, box_hi)
+    lo = -box.w[problem.n_theta:]
+    center, top = _joint_lps(problem, box)
+    scale = max(1.0, 0.5 * float(np.min(top - lo)))
     eps = eps_step if eps_step is not None else 1e-6 * scale
     min_radius = 1e-9 * scale
 
@@ -332,15 +350,16 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
     dead: set[tuple[int, ...]] = set()
     kkts: dict = {}
     diagnostics: list[str] = []
-    queue: deque[OptimalPartition] = deque([_seed_partition(problem, theta_space)])
-    expansions = certified = fallback = 0
+    edges: list[np.ndarray] = []  # rows [G_i, w_i] with no dispatch past them
+    queue: deque[OptimalPartition] = deque(
+        [_seed_partition(problem, center, lo, top)])
+    expansions = certified = boundary = fallback = 0
 
     while queue:
         part = queue.popleft()
         if part.key in seen or part.key in dead:
             continue
-        region, reason = _build_region(problem, part, theta_space, min_radius,
-                                       kkts)
+        region, reason = _build_region(problem, part, box, min_radius, kkts)
         if region is None:
             dead.add(part.key)
             diagnostics.append(reason)
@@ -358,18 +377,25 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
             normal = poly.G[i]
             for mult in (1.0, 10.0, 100.0):
                 cand = fp + eps * mult * normal
-                if not theta_space.contains(cand, tol=1e-12):
-                    break  # facet lies on the boundary of the parameter set
+                if not box.contains(cand, tol=1e-12):
+                    break  # facet lies on the box
                 cand_part = _certified_crossing(problem, kkts,
                                                 part.binding_ineq, cand)
                 degen = False
                 if cand_part is not None:
                     certified += 1
+                elif _proves_infeasible(
+                        problem, _cached_kkt(problem, kkts, part.binding_ineq),
+                        cand):
+                    boundary += 1
+                    edges.append(np.append(normal, poly.w[i]))
+                    break
                 else:
                     fallback += 1
                     try:
                         cand_part, degen = _partition_at(problem, cand)
                     except InfeasibleError:
+                        edges.append(np.append(normal, poly.w[i]))
                         break
                     except NumericalError as exc:
                         diagnostics.append(f"step from facet failed: {exc}")
@@ -382,20 +408,34 @@ def enumerate_regions(problem: MPQPProblem, theta_space: Polytope,
                     queue.append(cand_part)
                 break
 
-    regions = [seen[k] for k in sorted(seen)]
-    regions = [CriticalRegion(id=i, partition=r.partition, polytope=r.polytope,
-                              lmp_C=r.lmp_C, lmp_c=r.lmp_c,
-                              dispatch_G=r.dispatch_G, dispatch_g0=r.dispatch_g0,
-                              chebyshev_center=r.chebyshev_center,
-                              chebyshev_radius=r.chebyshev_radius,
-                              licq_ok=r.licq_ok)
-               for i, r in enumerate(regions)]
-    decomp = RegionDecomposition(regions=regions, theta_space=theta_space,
+    regions = [replace(seen[k], id=i) for i, k in enumerate(sorted(seen))]
+    decomp = RegionDecomposition(regions=regions,
+                                 theta_space=_parameter_set(edges, box, regions),
                                  degenerate_diagnostics=diagnostics,
                                  certified_crossings=certified,
+                                 boundary_steps=boundary,
                                  fallback_solves=fallback)
     decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
     return decomp
+
+
+def _parameter_set(edges, box: Polytope, regions) -> Polytope:
+    """Boundary facets and box rows, sorted (so the row order does not
+    depend on the exploration order) and made irredundant.  NumericalError
+    when a region vertex lies more than 1e-9 farther outside the result
+    than outside the region's own rows (qhull can put a thin region's
+    vertices a few 1e-9 off them)."""
+    rows = np.vstack([*edges, np.column_stack([box.G, box.w])])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    space = Polytope(rows[:, :-1], rows[:, -1]).remove_redundancy()
+    for r in regions:
+        p, verts = r.polytope, r.polytope.vertices()
+        own = max(0.0, (p.G @ verts.T - p.w[:, None]).max())
+        outside = (space.G @ verts.T - space.w[:, None]).max()
+        if outside > own + 1e-9:
+            raise NumericalError(f"region {r.id} reaches {outside:.2e} outside "
+                                 "the parameter set read off its facets")
+    return space
 
 
 def estimate_coverage(decomp: RegionDecomposition, n_samples: int = 20000,

@@ -86,6 +86,8 @@ def sample(model: GaussianModel, n: int, seed: int,
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     d = model.mu_theta.size
     L = model.cholesky_lower
     out = np.empty((n, d))

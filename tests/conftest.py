@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lmpspike import (GridCase, Generator, Line, assemble_mpqp, case14_path,
-                      derive_line_limits, enumerate_regions, feasible_set)
+                      derive_line_limits, enumerate_regions)
 from lmpspike.pipeline import AnalysisConfig, build_study
 
 
@@ -46,9 +46,8 @@ def toy2r():
         loads=np.array([0.0, 10.0]),
         renewable_buses=(2,), reference_bus=1)
     problem = assemble_mpqp(case)
-    theta_space = feasible_set(problem, [0.0], [25.0])
-    decomp = enumerate_regions(problem, theta_space, coverage_samples=2000)
-    return problem, theta_space, decomp
+    decomp = enumerate_regions(problem, [0.0], [25.0], coverage_samples=2000)
+    return problem, decomp.theta_space, decomp
 
 
 @pytest.fixture(scope="session")
@@ -68,9 +67,9 @@ def toy_ring():
         renewable_buses=(2, 3), reference_bus=1)
     case = derive_line_limits(case, 2.0, 0.6)
     problem = assemble_mpqp(case)
-    theta_space = feasible_set(problem, [0.0, 0.0], [30.0, 30.0])
-    decomp = enumerate_regions(problem, theta_space, coverage_samples=2000)
-    return problem, theta_space, decomp
+    decomp = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
+                               coverage_samples=2000)
+    return problem, decomp.theta_space, decomp
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +91,12 @@ def study14():
     study = build_study(config)
     study.build_seconds = time.perf_counter() - t0
     return study
+
+
+@pytest.fixture(scope="session")
+def r4_study():
+    """case14 with renewables at buses 4, 5, 9 and 10, forecast at 0.3 of
+    the installed capacities (0.5 is infeasible at the mean)."""
+    return build_study(AnalysisConfig(
+        case_path=str(case14_path()), renewable_buses=[4, 5, 9, 10],
+        gamma_line=2.0, lambda_safety=0.6, forecast_fraction=0.3, q=0.018))

@@ -4,25 +4,27 @@ Everything here avoids the package's iterative solvers and geometric
 exploration: optima come from exhaustive enumeration of candidate binding
 sets, prices on dense parameter grids from vectorized affine evaluation per
 candidate, tail probabilities from the closed-form normal distribution,
-polytope operations from one HiGHS LP per row or direction, and the QP
-feasibility verdict from an elastic phase-1 LP.  Row normalization, duplicate
-removal and region enumeration also keep their row-by-row and
-solve-every-step forms here, as the references for the vectorized and
-solve-free versions.
+polytope operations from one HiGHS LP per row or direction, the QP
+feasibility verdict from an elastic phase-1 LP, and the feasible parameter
+set from a Fourier-Motzkin projection of the joint (dispatch, injection)
+system.  Row normalization, duplicate removal and region enumeration also
+keep their row-by-row and solve-every-step forms here, as the references
+for the vectorized and solve-free versions.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.stats import norm
 
 from lmpspike import lp
 from lmpspike.errors import InfeasibleError, NumericalError
-from lmpspike.polytope import ZERO_ROW_TOL, Polytope
-from lmpspike.regions import (CriticalRegion, RegionDecomposition,
-                              _build_region, _partition_at, _seed_partition,
+from lmpspike.polytope import ZERO_ROW_TOL, Polytope, box_polytope
+from lmpspike.regions import (RegionDecomposition, _build_region, _joint_lps,
+                              _partition_at, _seed_partition,
                               estimate_coverage)
 
 
@@ -279,6 +281,59 @@ def lp_remove_redundancy(poly: Polytope, tol=1e-8) -> Polytope:
     return Polytope(G[alive], w[alive])
 
 
+def fourier_motzkin(A, b, eliminate, prune_tol=1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Project {x : A x <= b} onto the coordinates not in `eliminate`.
+
+    Eliminated columns are removed one at a time; after each elimination the
+    system is pruned by vertex-based redundancy removal to keep the row count
+    from exploding.  Returns rows over the surviving coordinates, in their
+    original order.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
+    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
+    for col in sorted(eliminate, reverse=True):
+        coeff = A[:, col]
+        pos = np.where(coeff > ZERO_ROW_TOL)[0]
+        neg = np.where(coeff < -ZERO_ROW_TOL)[0]
+        zero = np.where(np.abs(coeff) <= ZERO_ROW_TOL)[0]
+        rows = [np.delete(A[zero], col, axis=1)]
+        rhs = [b[zero]]
+        for i in pos:
+            for j in neg:
+                # combine a_i x <= b_i (coeff>0) with a_j x <= b_j (coeff<0)
+                lam_i, lam_j = -coeff[j], coeff[i]
+                row = lam_i * A[i] + lam_j * A[j]
+                rows.append(np.delete(row, col).reshape(1, -1))
+                rhs.append(np.atleast_1d(lam_i * b[i] + lam_j * b[j]))
+        A = np.vstack(rows)
+        b = np.concatenate(rhs)
+        p = Polytope(A, b)
+        if p.is_empty():
+            raise InfeasibleError("projection is empty")
+        p = p.remove_redundancy(tol=prune_tol)
+        A, b = p.G, p.w
+    return A, b
+
+
+def projected_parameter_set(problem, box_lo, box_hi) -> Polytope:
+    """Injections in the box with a feasible dispatch, as the irredundant
+    Fourier-Motzkin projection of the joint (dispatch, injection) system."""
+    n_g = problem.n_g
+    box = box_polytope(box_lo, box_hi)
+    A = np.vstack([np.hstack([problem.A, -problem.E]),
+                   np.hstack([np.zeros((box.n_rows, n_g)), box.G])])
+    b = np.concatenate([problem.b, box.w])
+    F, c = fourier_motzkin(A, b, eliminate=range(n_g))
+    return Polytope.from_rows(F, c).remove_redundancy()
+
+
+def same_vertex_sets(p: Polytope, q: Polytope, tol=1e-9) -> bool:
+    """Whether every vertex of each polytope lies within tol of a vertex of
+    the other (the vertex-set Hausdorff distance is at most tol)."""
+    gaps = np.linalg.norm(p.vertices()[:, None] - q.vertices()[None], axis=2)
+    return bool(max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= tol)
+
+
 def lp_facet_point(poly: Polytope, i: int) -> np.ndarray | None:
     """Chebyshev center of facet i (None when the facet LP is infeasible)."""
     p = poly.normalized()
@@ -418,27 +473,30 @@ def sequential_distinct_rows(G, w):
     return G[keep], w[keep]
 
 
-def solve_every_step_regions(problem, theta_space, coverage_samples=20000):
+def solve_every_step_regions(problem, box_lo, box_hi, coverage_samples=20000):
     """Region enumeration that solves the dispatch problem at every facet
-    step, the way it ran before crossings were certified.
+    step inside the Fourier-Motzkin parameter set, the way it ran before
+    crossings were certified and boundaries proved.
 
     Same seed, breadth-first order, step lengths and region construction as
-    `enumerate_regions`.  Returns the decomposition and the number of
-    facet-step solves, which equals the certified crossings plus the
-    fallback solves of `enumerate_regions` on the same input.
+    `enumerate_regions`, but a step outside `projected_parameter_set`
+    stops there.  Returns the decomposition, whose `theta_space` is that
+    projection, and the number of facet-step solves.
     """
-    center, radius = theta_space.chebyshev()
-    scale = max(1.0, radius)
+    box = box_polytope(box_lo, box_hi)
+    theta_space = projected_parameter_set(problem, box_lo, box_hi)
+    lo = -box.w[problem.n_theta:]
+    center, top = _joint_lps(problem, box)
+    scale = max(1.0, 0.5 * float(np.min(top - lo)))
     eps, min_radius = 1e-6 * scale, 1e-9 * scale
     seen, dead, diagnostics = {}, set(), []
-    queue = [_seed_partition(problem, theta_space)]
+    queue = [_seed_partition(problem, center, lo, top)]
     steps = 0
     while queue:
         part = queue.pop(0)
         if part.key in seen or part.key in dead:
             continue
-        region, reason = _build_region(problem, part, theta_space, min_radius,
-                                       {})
+        region, reason = _build_region(problem, part, box, min_radius, {})
         if region is None:
             dead.add(part.key)
             diagnostics.append(reason)
@@ -466,14 +524,7 @@ def solve_every_step_regions(problem, theta_space, coverage_samples=20000):
                 if cand_part.key not in seen and cand_part.key not in dead:
                     queue.append(cand_part)
                 break
-    regions = [CriticalRegion(id=k, partition=r.partition, polytope=r.polytope,
-                              lmp_C=r.lmp_C, lmp_c=r.lmp_c,
-                              dispatch_G=r.dispatch_G,
-                              dispatch_g0=r.dispatch_g0,
-                              chebyshev_center=r.chebyshev_center,
-                              chebyshev_radius=r.chebyshev_radius,
-                              licq_ok=r.licq_ok)
-               for k, r in enumerate(seen[key] for key in sorted(seen))]
+    regions = [replace(seen[key], id=k) for k, key in enumerate(sorted(seen))]
     decomp = RegionDecomposition(regions=regions, theta_space=theta_space,
                                  degenerate_diagnostics=diagnostics)
     decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)

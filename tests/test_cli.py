@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lmpspike import case14_path
 from lmpspike.cli import main
 
 TOY_CASE = {
@@ -184,3 +185,29 @@ def test_seed_and_out_overrides(toy_config):
                        "resolved_config.json").read_text())
     assert snap["mc_seed"] == 123
     assert snap["mc_n_samples"] == 5000
+
+
+def test_negative_seed_exits_2(toy_config, capsys):
+    """From `--seed` and from the config alike."""
+    config_path, _ = toy_config
+    assert main(["mc", "--config", str(config_path), "--seed", "-1"]) == 2
+    doc = json.loads(config_path.read_text())
+    doc["mc_seed"] = -1
+    config_path.write_text(json.dumps(doc))
+    assert main(["mc", "--config", str(config_path)]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_seven_renewables_regions_command(tmp_path, capsys):
+    """case14 with renewables at buses 4, 5, 9, 10, 13, 14 and 12: the
+    parameter set is read off 137 regions that cover it."""
+    config = {"case_path": str(case14_path()),
+              "renewable_buses": [4, 5, 9, 10, 13, 14, 12],
+              "forecast_fraction": 0.3, "q": 0.018,
+              "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["regions", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    assert "regions: 137" in out
+    assert "coverage_ratio: 1.000000" in out

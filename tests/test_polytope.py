@@ -1,4 +1,4 @@
-"""Polytope primitives: redundancy, centers, facets, projection."""
+"""Polytope primitives: redundancy, centers, facets; the reference projection."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from scipy.spatial import QhullError
 
 from lmpspike import lp, polytope
 from lmpspike.errors import InfeasibleError, NumericalError
-from lmpspike.polytope import Polytope, box_polytope, fourier_motzkin
+from lmpspike.polytope import Polytope, box_polytope
 
-from oracles import (lp_bounding_box, lp_facet_point, lp_remove_redundancy,
-                     lp_support, rowwise_normalized, sequential_distinct_rows)
+from oracles import (fourier_motzkin, lp_bounding_box, lp_facet_point,
+                     lp_remove_redundancy, lp_support, rowwise_normalized,
+                     sequential_distinct_rows)
 
 
 def unit_square():

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
-                      Line, Polytope, RegionDecomposition,
-                      SingularActiveSetError, assemble_mpqp, case14_path,
-                      compute_lmp, enumerate_regions, feasible_set,
-                      load_decomposition, locate, locate_region, lp,
-                      optimal_partition, region_lmp_map, save_decomposition,
-                      solve_opf)
-from lmpspike.opf import OptimalPartition
-from lmpspike.pipeline import AnalysisConfig, build_study
+                      Line, NumericalError, Polytope, RegionDecomposition,
+                      SingularActiveSetError, assemble_mpqp, compute_lmp,
+                      enumerate_regions, load_decomposition, locate,
+                      locate_region, lp, optimal_partition, region_lmp_map,
+                      regions, save_decomposition, solve_opf)
+from lmpspike.opf import OptimalPartition, parametric_kkt
 from lmpspike.polytope import box_polytope
 from lmpspike.regions import (LOCATE_CHUNK, _certified_crossing,
                               _partition_at)
@@ -21,6 +19,7 @@ from lmpspike.stochastic import sample
 
 from oracles import (brute_vertices, distinct_interior_partitions,
                      grid_partition_map, locate_brute, locate_scan,
+                     phase1_point, projected_parameter_set, same_vertex_sets,
                      solve_every_step_regions, toy2r_lmp)
 
 
@@ -34,7 +33,8 @@ def test_single_unit_interval():
                     loads=np.array([5.0]), renewable_buses=(1,),
                     reference_bus=1)
     problem = assemble_mpqp(case)
-    theta = feasible_set(problem, [0.0], [50.0])
+    theta = enumerate_regions(problem, [0.0], [50.0],
+                              coverage_samples=0).theta_space
     lo, hi = theta.bounding_box()
     assert lo[0] == pytest.approx(0.0, abs=1e-9)
     assert hi[0] == pytest.approx(5.0, abs=1e-9)
@@ -47,7 +47,7 @@ def test_infeasible_box_raises():
                     reference_bus=1)
     problem = assemble_mpqp(case)
     with pytest.raises(InfeasibleError):
-        feasible_set(problem, [20.0], [50.0])
+        enumerate_regions(problem, [20.0], [50.0])
 
 
 def test_toy2r_parameter_interval(toy2r):
@@ -91,8 +91,7 @@ def test_single_region_when_nothing_can_bind():
                     loads=np.array([0.0, 10.0]), renewable_buses=(2,),
                     reference_bus=1)
     problem = assemble_mpqp(case)
-    theta_space = feasible_set(problem, [1.0], [9.0])
-    decomp = enumerate_regions(problem, theta_space, coverage_samples=500)
+    decomp = enumerate_regions(problem, [1.0], [9.0], coverage_samples=500)
     assert decomp.n_regions == 1
     r = decomp.regions[0]
     assert r.partition.binding == (0,)
@@ -140,8 +139,9 @@ def test_interiors_pairwise_disjoint(toy_ring):
     _, _, decomp = toy_ring
     for i, a in enumerate(decomp.regions):
         for b in decomp.regions[i + 1:]:
-            shrunk = a.polytope.intersect(b.polytope)
-            shrunk = type(shrunk)(shrunk.G, shrunk.w - 1e-7)
+            shrunk = Polytope(np.vstack([a.polytope.G, b.polytope.G]),
+                              np.concatenate([a.polytope.w, b.polytope.w])
+                              - 1e-7)
             assert shrunk.is_empty(tol=1e-12)
 
 
@@ -164,27 +164,34 @@ def test_region_interior_samples_reproduce_partition_and_map(toy_ring):
 
 def test_expansion_cap_raises(toy_ring):
     from lmpspike.errors import NumericalError
-    problem, theta_space, _ = toy_ring
+    problem, _, _ = toy_ring
     with pytest.raises(NumericalError, match="cap"):
-        enumerate_regions(problem, theta_space, max_expansions=1,
+        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0], max_expansions=1,
                           coverage_samples=0)
 
 
 def test_enumeration_independent_of_step_size(toy_ring):
-    problem, theta_space, decomp = toy_ring
-    bigger = enumerate_regions(problem, theta_space, eps_step=3e-5,
-                               coverage_samples=0)
+    problem, _, decomp = toy_ring
+    bigger = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
+                               eps_step=3e-5, coverage_samples=0)
     assert {r.partition.key for r in bigger.regions} \
         == {r.partition.key for r in decomp.regions}
 
 
 @pytest.fixture(scope="module", params=["toy_ring", "toy2r", "study14"])
 def any_system(request):
-    """(problem, parameter set, decomposition) of each enumerated system."""
+    """(problem, parameter set, decomposition, box) of each enumerated system."""
     system = request.getfixturevalue(request.param)
     if request.param == "study14":
-        return system.problem, system.theta_space, system.decomposition
-    return system
+        case = system.case
+        # the box `build_study` enumerates in
+        hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
+                                       for g in case.generators) + 1.0
+        return (system.problem, system.decomposition.theta_space,
+                system.decomposition,
+                (np.zeros(case.n_theta), np.full(case.n_theta, hi)))
+    box = {"toy_ring": ([0.0, 0.0], [30.0, 30.0]), "toy2r": ([0.0], [25.0])}
+    return (*system, box[request.param])
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -193,7 +200,7 @@ def test_certified_crossing_equals_a_solve(any_system, seed):
     """At facet points stepped 1e-6, 1e-5 and 1e-4 of the scale past every
     facet of every region, and jittered, a certified binding set is what a
     dispatch solve there returns, nondegenerate."""
-    problem, theta_space, decomp = any_system
+    problem, theta_space, decomp, _ = any_system
     rng = np.random.Generator(np.random.Philox(key=seed))
     scale = max(1.0, theta_space.chebyshev()[1])
     certified = 0
@@ -217,11 +224,12 @@ def test_certified_crossing_equals_a_solve(any_system, seed):
 
 def test_enumeration_equals_the_solve_every_step_reference(any_system):
     """Same regions, rows, maps, Chebyshev centers and diagnostics, bit for
-    bit, and every facet step is counted as certified or as a fallback."""
-    problem, theta_space, decomp = any_system
-    ref, steps = solve_every_step_regions(problem, theta_space,
-                                          coverage_samples=0)
-    ours = enumerate_regions(problem, theta_space, coverage_samples=0)
+    bit, as the reference that solves at every step inside the projected
+    parameter set; every such step is a certified crossing or a fallback,
+    and the steps past it are proved, so the parameter sets agree."""
+    problem, _, decomp, box = any_system
+    ref, steps = solve_every_step_regions(problem, *box, coverage_samples=0)
+    ours = enumerate_regions(problem, *box, coverage_samples=0)
     assert ours.degenerate_diagnostics == ref.degenerate_diagnostics
     assert [r.partition for r in ours.regions] \
         == [r.partition for r in ref.regions]
@@ -236,21 +244,98 @@ def test_enumeration_equals_the_solve_every_step_reference(any_system):
                               b.polytope.chebyshev()[0])
     assert ours.certified_crossings + ours.fallback_solves == steps
     assert ours.certified_crossings > 0
+    assert same_vertex_sets(ours.theta_space, ref.theta_space)
 
 
-def test_fallback_solves_are_counted_and_rare(tmp_path):
+def test_parameter_set_equals_the_projection(any_system):
+    """The set read off the region facets is the Fourier-Motzkin projection
+    of the joint system, compared by vertex sets."""
+    problem, theta_space, _, box = any_system
+    assert same_vertex_sets(theta_space,
+                            projected_parameter_set(problem, *box))
+
+
+def test_r4_parameter_set_and_capacities_equal_the_projection(r4_study):
+    case = r4_study.case
+    hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
+                                   for g in case.generators) + 1.0
+    ref = projected_parameter_set(r4_study.problem, np.zeros(case.n_theta),
+                                  np.full(case.n_theta, hi))
+    assert same_vertex_sets(r4_study.decomposition.theta_space, ref)
+    expected = [ref.support(e) for e in np.eye(case.n_theta)]
+    assert np.allclose(r4_study.installed, expected, rtol=1e-9, atol=0.0)
+
+
+def test_proved_boundary_steps_are_infeasible_for_the_phase1_oracle(
+        any_system, monkeypatch):
+    """Every step `_proves_infeasible` settles has no dispatch by the
+    elastic phase-1 LP, to a tolerance of 1e-10 (1 + max|b|)."""
+    problem, _, _, box = any_system
+    proved = []
+
+    def recording(problem, kkt, theta, proves=regions._proves_infeasible):
+        if proves(problem, kkt, theta):
+            proved.append(theta)
+            return True
+        return False
+
+    monkeypatch.setattr(regions, "_proves_infeasible", recording)
+    decomp = enumerate_regions(problem, *box, coverage_samples=0)
+    assert len(proved) == decomp.boundary_steps > 0
+    for theta in proved:
+        with pytest.raises(InfeasibleError):
+            phase1_point(problem.A[:1], problem.b[:1] + problem.E[0] @ theta,
+                         problem.A[2:], problem.b[2:] + problem.E[2:] @ theta,
+                         tol=1e-10)
+
+
+def test_farkas_test_proves_nothing_at_feasible_points(any_system):
+    """At points 1e-6 inside the parameter set no region's binding rows
+    prove infeasibility, though most regions' dispatches violate rows there
+    (a violated row with a positive coefficient proves nothing)."""
+    problem, theta_space, decomp, _ = any_system
+    rng = np.random.Generator(np.random.Philox(key=31))
+    pts = [p for p in _uniform_inside(decomp, rng, 300)
+           if theta_space.contains(p, tol=-1e-6)]
+    violated = 0
+    for region in decomp.regions:
+        kkt = parametric_kkt(problem, region.partition.binding_ineq)
+        for theta in pts:
+            violated += int(regions._kkt_point(problem, kkt, theta)[0].max()
+                            > 0.0)
+            assert not regions._proves_infeasible(problem, kkt, theta)
+    assert violated > len(pts)
+
+
+def test_parameter_set_rejects_a_facet_that_cuts_a_region(toy_ring):
+    _, _, decomp = toy_ring
+    box = box_polytope([0.0, 0.0], [30.0, 30.0])
+    center = decomp.regions[0].chebyshev_center
+    with pytest.raises(NumericalError, match="outside the parameter set"):
+        regions._parameter_set([np.array([1.0, 0.0, center[0]])], box,
+                               decomp.regions)
+
+
+def test_facet_step_counts_are_pinned(study14, r4_study):
+    """(certified crossings, proved boundary steps, fallback solves)."""
+    def counts(d):
+        return d.certified_crossings, d.boundary_steps, d.fallback_solves
+
+    assert counts(study14.decomposition) == (45, 5, 0)
+    assert counts(r4_study.decomposition) == (223, 44, 3)
+
+
+def test_fallback_solves_are_counted_and_rare(tmp_path, r4_study):
     """On case14 with renewables at 4, 5, 9 and 10 at most 5% of facet steps
     solve the dispatch problem; the counts stay out of the saved file."""
-    study = build_study(AnalysisConfig(
-        case_path=str(case14_path()), renewable_buses=[4, 5, 9, 10],
-        gamma_line=2.0, lambda_safety=0.6, forecast_fraction=0.3, q=0.018))
-    decomp = study.decomposition
+    decomp = r4_study.decomposition
     steps = decomp.certified_crossings + decomp.fallback_solves
     assert decomp.n_regions == 50 and steps > 0
     assert decomp.fallback_solves <= 0.05 * steps
     save_decomposition(decomp, tmp_path / "d.json")
     text = (tmp_path / "d.json").read_text()
     assert "certified" not in text and "fallback" not in text
+    assert "boundary" not in text
 
 
 def test_continuity_on_shared_facets_under_rank_condition(toy_ring):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lmpspike import (CovarianceSpec, GaussianModel, GridCase, Generator,
-                      Line, build_covariance, compare_ranking, compute_lmp,
-                      empirical_density, locate_region,
+from lmpspike import (ConfigError, CovarianceSpec, GaussianModel, GridCase,
+                      Generator, Line, build_covariance, compare_ranking,
+                      compute_lmp, empirical_density, locate_region,
                       mc_spike_probabilities, sample, solve_opf)
 from lmpspike.spikes import NodeRanking, build_thresholds
 from lmpspike.stochastic import (MCResult, NodeHistogram, evaluate_lmp_samples,
@@ -88,6 +88,12 @@ def test_sample_moments():
 def test_sample_count_validation():
     with pytest.raises(Exception):
         sample(model2(), 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_the_philox_key_range_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        sample(model2(), 10, seed)
 
 
 # -- Monte Carlo over a decomposition --------------------------------------------
