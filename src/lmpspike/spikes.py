@@ -9,6 +9,13 @@ per-node, per-region, per-side polytope pieces, and each piece minimum is a
 small convex QP; strict inequalities are handled by minimizing over closures,
 which leaves the infimum unchanged since the pieces are open within each
 region interior.
+
+Most pieces cannot hold a node's minimum.  Each piece lies in every half-space
+of its region's rows and in the half-space of its own price row, and the rate
+over one half-space has a closed form, so the largest of those minima is a
+lower bound on the piece's rate (`piece_rate_bounds`).  `decay_rates` solves
+a node's pieces in ascending bound order and stops once the bound clears the
+best rate found by `PRUNE_RTOL`; only the pieces solved by then can win.
 """
 
 from __future__ import annotations
@@ -30,6 +37,17 @@ UNREACHABLE = float("inf")
 # never picks the winner: between the sides of a node '-' wins a tie, between
 # the regions of one side the lower region id, in the ranking the lower node.
 RATE_TIE_RTOL = 1e-12
+# A piece whose rate bound exceeds m (1 + PRUNE_RTOL) + PRUNE_ATOL, with m the
+# smallest rate solved so far, is not solved.  The margin is wide enough that
+# skipping it never changes a result: a chain of ties drifts at most
+# n_regions * RATE_TIE_RTOL above m, and a QP minimum sits below its piece's
+# true minimum only by the solver's rounding and feasibility error (rows met
+# to 1e-9 of the right-hand-side scale), both far inside 1e-6 relative; the
+# absolute term keeps every piece with bound 0 in play when m is 0.
+PRUNE_RTOL = 1e-6
+PRUNE_ATOL = 1e-9
+# price rows at most this long are constant over the region
+FLAT_PRICE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,8 @@ class GaussianModel:
     """Injection model theta ~ N(mu, Sigma) and its large-fluctuation rate.
 
     One lower Cholesky factor of Sigma serves sampling, the rate and the
-    precision matrix; `epsilon` is the noise scale of the decay asymptotics.
+    precision matrix; `epsilon` is the noise scale of the decay asymptotics:
+    `stochastic.sample` draws with covariance epsilon * Sigma.
     """
 
     def __init__(self, mu_theta, sigma_theta, epsilon: float = 1.0):
@@ -147,7 +166,7 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
     row_scale = float(np.linalg.norm(crow))
     strict_tol = 1e-9 * (1.0 + abs(alpha))
 
-    if row_scale <= 1e-12:
+    if row_scale <= FLAT_PRICE_TOL:
         # constant price over the region: the piece is all of it or nothing
         in_spike = cval > alpha + strict_tol if sign == "+" \
             else cval < alpha - strict_tol
@@ -179,6 +198,41 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
                         region_id=region.id)
 
 
+def halfspace_rate(model: GaussianModel, A, b) -> np.ndarray:
+    """Minimum of the rate over each half-space {theta : a' theta <= b}.
+
+    The closed form ((a' mu - b)_+)^2 / (2 a' Sigma a), vectorized over the
+    rows of A; a row with a' Sigma a = 0 bounds nothing and gives 0.
+    """
+    excess = np.maximum(A @ model.mu_theta - b, 0.0)
+    spread = 2.0 * np.einsum("ij,jk,ik->i", A, model.sigma_theta, A)
+    return np.divide(excess ** 2, spread, out=np.zeros_like(excess),
+                     where=spread > 0.0)
+
+
+def piece_rate_bounds(decomposition: RegionDecomposition, model: GaussianModel,
+                      spec: SpikeSpec) -> np.ndarray:
+    """Lower bounds on every piece's rate, shape (2, n_regions, n_nodes).
+
+    Axis 0 is the side, '-' then '+'.  A piece lies in every half-space of
+    its region's rows and in its price row's half-space (price >= alpha+ on
+    side '+', <= alpha- on side '-'), so the largest of their `halfspace_rate`
+    minima bounds the rate over the piece from below.  A constant price row
+    adds nothing.
+    """
+    bounds = np.zeros((2, decomposition.n_regions, spec.n))
+    for k, region in enumerate(decomposition.regions):
+        poly = region.polytope
+        rows = halfspace_rate(model, poly.G, poly.w).max(initial=0.0)
+        C = region.lmp_C
+        flat = np.sqrt(np.vecdot(C, C)) <= FLAT_PRICE_TOL
+        for side, (A, b) in enumerate(((C, spec.alpha_minus - region.lmp_c),
+                                       (-C, region.lmp_c - spec.alpha_plus))):
+            own = np.where(flat, 0.0, halfspace_rate(model, A, b))
+            bounds[side, k] = np.maximum(own, rows)
+    return bounds
+
+
 @dataclass(frozen=True)
 class SpikeDecayResult:
     """Decay-rate minimizer for one node and one side of the band."""
@@ -203,6 +257,11 @@ class SpikeAnalysis:
     node_rates: dict[int, float]
     overall_rate: float
     epsilon: float = 1.0
+    # pieces `minimize_rate_piece` was called on, and those skipped because
+    # their rate bound cleared the best rate; run statistics, not part of
+    # any output file
+    pieces_solved: int = 0
+    pieces_pruned: int = 0
 
     def result(self, node: int, sign: str) -> SpikeDecayResult:
         return self.per_side[(node, sign)]
@@ -225,7 +284,13 @@ def _beats(rate: float, key, best_rate: float, best_key) -> bool:
 
 def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
                 spec: SpikeSpec) -> SpikeAnalysis:
-    """Minimize the rate over every per-node spike piece and aggregate.
+    """Minimize the rate over the per-node spike pieces and aggregate.
+
+    Per node and side, pieces are solved in ascending order of their
+    `piece_rate_bounds` value (region id on equal bounds) until the bound
+    clears the smallest rate found by the `PRUNE_RTOL` margin; the skipped
+    pieces cannot hold the minimum.  The solved pieces are then compared in
+    region-id order, so ties resolve exactly as over every piece.
 
     A node whose price never leaves its band anywhere in the parameter set
     gets an infinite rate (event unreachable).  For finite rates the minimizer
@@ -235,15 +300,26 @@ def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
     theta_poly = decomposition.theta_space
     boundary_tol = 1e-7 * (1.0 + float(np.abs(theta_poly.w).max()
                                        if theta_poly.n_rows else 1.0))
+    bounds = piece_rate_bounds(decomposition, model, spec)
     per_side: dict[tuple[int, str], SpikeDecayResult] = {}
     node_rates: dict[int, float] = {}
+    solved = 0
     for node in spec.nodes():
-        for sign in ("-", "+"):
+        for side, sign in enumerate(("-", "+")):
+            bound = bounds[side, :, node]
+            pieces: list[PieceMinimum] = []
+            least = UNREACHABLE
+            for k in np.argsort(bound, kind="stable"):
+                if bound[k] > least * (1.0 + PRUNE_RTOL) + PRUNE_ATOL:
+                    break
+                solved += 1
+                piece = minimize_rate_piece(model, decomposition.regions[k],
+                                            node, sign, spec)
+                if piece is not None:
+                    pieces.append(piece)
+                    least = min(least, piece.rate)
             best: PieceMinimum | None = None
-            for region in decomposition.regions:
-                piece = minimize_rate_piece(model, region, node, sign, spec)
-                if piece is None:
-                    continue
+            for piece in sorted(pieces, key=lambda p: p.region_id):
                 if best is None or _beats(piece.rate, piece.region_id,
                                           best.rate, best.region_id):
                     best = piece
@@ -266,8 +342,10 @@ def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
         node_rates[node] = min(per_side[(node, "-")].rate,
                                per_side[(node, "+")].rate)
     overall = min(node_rates.values()) if node_rates else UNREACHABLE
+    total = 2 * len(node_rates) * decomposition.n_regions
     return SpikeAnalysis(spec=spec, per_side=per_side, node_rates=node_rates,
-                         overall_rate=overall, epsilon=model.epsilon)
+                         overall_rate=overall, epsilon=model.epsilon,
+                         pieces_solved=solved, pieces_pruned=total - solved)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ order cannot change the stream.  Samples are priced through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,18 +79,20 @@ def build_covariance(case: GridCase, spec: CovarianceSpec) -> np.ndarray:
 
 def sample(model: GaussianModel, n: int, seed: int,
            chunk: int = SAMPLE_CHUNK) -> np.ndarray:
-    """n draws from the model, chunked into independent keyed substreams.
+    """n draws of theta = mu + sqrt(eps) L z, chunked into keyed substreams.
 
-    Chunk k uses Philox key (seed, k); the result is identical however the
-    chunks would be scheduled, and bit-identical across runs for a fixed
-    numpy version.
+    L is the Cholesky factor of Sigma and eps the model's noise scale, so
+    the draws have covariance eps * Sigma; at eps = 1 the factor is exactly
+    1 and the stream is that of N(mu, Sigma).  Chunk k uses Philox key
+    (seed, k); the result is identical however the chunks would be
+    scheduled, and bit-identical across runs for a fixed numpy version.
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     d = model.mu_theta.size
-    L = model.cholesky_lower
+    L = math.sqrt(model.epsilon) * model.cholesky_lower
     out = np.empty((n, d))
     for k, start in enumerate(range(0, n, chunk)):
         stop = min(start + chunk, n)
@@ -187,7 +190,7 @@ def mc_spike_probabilities(samples: np.ndarray,
     valid = int(feasible.sum())
     if valid == 0:
         raise InfeasibleError("no feasible Monte Carlo samples")
-    vals = lmp[feasible]
+    vals = lmp if valid == n_s else lmp[feasible]
     spikes = (vals < spec.alpha_minus) | (vals > spec.alpha_plus)
     nodes = list(spec.nodes())
     node_counts = np.zeros(spec.n, dtype=np.int64)

@@ -9,7 +9,8 @@ feasibility verdict from an elastic phase-1 LP, and the feasible parameter
 set from a Fourier-Motzkin projection of the joint (dispatch, injection)
 system.  Row normalization, duplicate removal and region enumeration also
 keep their row-by-row and solve-every-step forms here, as the references
-for the vectorized and solve-free versions.
+for the vectorized and solve-free versions, and decay rates their
+solve-every-piece form, the reference for bound-pruned evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.stats import norm
 
-from lmpspike import lp
+from lmpspike import lp, spikes
 from lmpspike.errors import InfeasibleError, NumericalError
 from lmpspike.polytope import ZERO_ROW_TOL, Polytope, box_polytope
 from lmpspike.regions import (RegionDecomposition, _build_region, _joint_lps,
@@ -529,3 +530,50 @@ def solve_every_step_regions(problem, box_lo, box_hi, coverage_samples=20000):
                                  degenerate_diagnostics=diagnostics)
     decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
     return decomp, steps
+
+
+def exhaustive_decay_rates(decomposition, model, spec):
+    """`spikes.decay_rates` solving every (node, side, region) piece.
+
+    The minima are compared in region-id order with the package's tie rule;
+    no piece is skipped, whatever its rate bound.
+    """
+    theta_poly = decomposition.theta_space
+    boundary_tol = 1e-7 * (1.0 + float(np.abs(theta_poly.w).max()
+                                       if theta_poly.n_rows else 1.0))
+    per_side = {}
+    node_rates = {}
+    for node in spec.nodes():
+        for sign in ("-", "+"):
+            best = None
+            for region in decomposition.regions:
+                piece = spikes.minimize_rate_piece(model, region, node, sign,
+                                                   spec)
+                if piece is None:
+                    continue
+                if best is None or spikes._beats(piece.rate, piece.region_id,
+                                                 best.rate, best.region_id):
+                    best = piece
+            if best is None:
+                per_side[(node, sign)] = spikes.SpikeDecayResult(
+                    node=node, sign=sign, rate=spikes.UNREACHABLE,
+                    theta_star=None, region_id=None, boundary_gap=None,
+                    on_theta_boundary=False)
+                continue
+            region = decomposition.regions[best.region_id]
+            alpha = float(spec.alpha_plus[node] if sign == "+"
+                          else spec.alpha_minus[node])
+            gap = abs(float(region.lmp_at(best.theta)[node]) - alpha)
+            on_boundary = bool(np.any(
+                theta_poly.G @ best.theta >= theta_poly.w - boundary_tol)) \
+                if theta_poly.n_rows else False
+            per_side[(node, sign)] = spikes.SpikeDecayResult(
+                node=node, sign=sign, rate=best.rate, theta_star=best.theta,
+                region_id=best.region_id, boundary_gap=gap,
+                on_theta_boundary=on_boundary)
+        node_rates[node] = min(per_side[(node, "-")].rate,
+                               per_side[(node, "+")].rate)
+    overall = min(node_rates.values()) if node_rates else spikes.UNREACHABLE
+    return spikes.SpikeAnalysis(spec=spec, per_side=per_side,
+                                node_rates=node_rates, overall_rate=overall,
+                                epsilon=model.epsilon)

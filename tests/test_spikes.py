@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmpspike import (ConfigError, GaussianModel, SpikeSpec,
                       approx_probability, build_thresholds, decay_rates,
                       minimize_rate_piece, rank_nodes, spikes)
-from lmpspike.regions import CriticalRegion, RegionDecomposition
+from lmpspike.regions import CriticalRegion, RegionDecomposition, locate
 from lmpspike.opf import OptimalPartition
 from lmpspike.polytope import box_polytope
-from lmpspike.spikes import PieceMinimum, write_decay_csv
+from lmpspike.spikes import (PieceMinimum, halfspace_rate, piece_rate_bounds,
+                             write_decay_csv)
 
-from oracles import grid_partition_map, grid_rate_minimum, toy2r_lmp
+from oracles import (exhaustive_decay_rates, grid_partition_map,
+                     grid_rate_minimum, toy2r_lmp)
 
 
 def synthetic_region(C, c, lo, hi, rid=0):
@@ -299,6 +303,146 @@ def test_rank_unreachable_sorts_last():
     ranking = rank_nodes(_analysis_with({0: math.inf, 1: 3.0}))
     assert ranking.nodes == (1, 0)
     assert ranking.normalized_scores[1] == 0.0
+
+
+# -- bound-pruned evaluation -------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["toy2r", "toy_ring", "study14"])
+def any_decomp(request):
+    system = request.getfixturevalue(request.param)
+    return system.decomposition if request.param == "study14" else system[2]
+
+
+def random_model(decomp, rng):
+    """Mean at a random interior point of the parameter set and a random SPD
+    covariance with deviations up to 30% of the set's widths; returns the
+    model and the price at the mean (None outside every region)."""
+    space = decomp.theta_space
+    verts = space.vertices()
+    mu = rng.dirichlet(np.ones(len(verts))) @ verts
+    lo, hi = space.bounding_box()
+    d = mu.size
+    A = rng.normal(size=(d, d))
+    S = A @ A.T + 0.5 * np.eye(d)
+    corr = S / np.sqrt(np.outer(np.diag(S), np.diag(S)))
+    stds = (hi - lo) * rng.uniform(0.01, 0.3, d)
+    model = GaussianModel(mu, corr * np.outer(stds, stds))
+    k = int(locate(decomp, mu[None, :])[0])
+    return model, decomp.regions[k].lmp_at(mu) if k >= 0 else None
+
+
+def assert_same_analysis(ours, ref):
+    assert ours.node_rates == ref.node_rates
+    assert ours.overall_rate == ref.overall_rate
+    assert ours.per_side.keys() == ref.per_side.keys()
+    for key, r in ref.per_side.items():
+        o = ours.per_side[key]
+        assert o.rate == r.rate
+        assert (o.theta_star is None) == (r.theta_star is None)
+        if r.theta_star is not None:
+            assert np.array_equal(o.theta_star, r.theta_star)
+        assert o.region_id == r.region_id
+        assert o.boundary_gap == r.boundary_gap
+        assert o.on_theta_boundary == r.on_theta_boundary
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), err_rel=st.floats(0.05, 0.5))
+def test_pruned_decay_rates_equal_the_exhaustive_oracle(any_decomp, seed,
+                                                        err_rel):
+    """Per side: rate, minimizer, region, gap and boundary flag, bit for
+    bit, as solving every piece and comparing in region-id order."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    model, lmp = random_model(any_decomp, rng)
+    assume(lmp is not None and np.all(lmp != 0.0))
+    spec = build_thresholds(lmp, err_rel)
+    ours = decay_rates(any_decomp, model, spec)
+    assert_same_analysis(ours, exhaustive_decay_rates(any_decomp, model, spec))
+    assert ours.pieces_solved + ours.pieces_pruned \
+        == 2 * spec.n * any_decomp.n_regions
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_piece_bound_is_below_every_piece_rate(any_decomp, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    model, lmp = random_model(any_decomp, rng)
+    spec = build_thresholds(lmp, 0.1)
+    bounds = piece_rate_bounds(any_decomp, model, spec)
+    nonempty = 0
+    for side, sign in enumerate(("-", "+")):
+        for region in any_decomp.regions:
+            for node in range(spec.n):
+                piece = minimize_rate_piece(model, region, node, sign, spec)
+                if piece is None:
+                    continue
+                nonempty += 1
+                assert bounds[side, region.id, node] \
+                    <= piece.rate * (1.0 + 1e-9) + 1e-12
+    assert nonempty > 0
+
+
+def test_halfspace_rate_closed_form():
+    model = GaussianModel([1.0, -1.0], [[4.0, 1.0], [1.0, 2.0]])
+    A = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    b = np.array([-2.0, -5.0, 1.0, 3.0])
+    # a'mu - b: 3, 3, -1, -3; a' Sigma a: 4, 4, 0, 8
+    assert np.array_equal(halfspace_rate(model, A, b),
+                          [9.0 / 8.0, 9.0 / 8.0, 0.0, 0.0])
+
+
+def test_case14_prunes_pieces(study14):
+    spec = study14.spike_spec(0.25)
+    analysis = decay_rates(study14.decomposition, study14.model, spec)
+    total = 2 * spec.n * study14.decomposition.n_regions
+    assert analysis.pieces_solved + analysis.pieces_pruned == total
+    assert analysis.pieces_solved < total
+
+
+RATE = 0.7
+
+
+@pytest.mark.parametrize("rates, winner", [
+    # one-ulp ties between regions 0 and 1: the lower id wins
+    ({0: RATE, 1: math.nextafter(RATE, -math.inf), 2: 0.8}, 0),
+    ({0: RATE, 1: math.nextafter(RATE, math.inf), 2: 0.8}, 0),
+    # a tie chain: 1 ties 0 and 2, but 2 sits below 0 past the tolerance, so
+    # the region-id scan ends at 2 while a scan in bound order would end at 0
+    ({0: RATE, 1: RATE * (1 - 0.9e-12), 2: RATE * (1 - 1.8e-12)}, 2),
+])
+def test_ties_resolve_in_region_id_order_not_bound_order(monkeypatch, rates,
+                                                         winner):
+    """Region 2 holds mu, so it has the lowest bound and is solved first,
+    then regions 1 and 0; region 3's bound lies past every rate and it is
+    never solved.  The solved minima are compared in region-id order, as the
+    exhaustive oracle compares every piece."""
+    boxes = [([1.0], [2.0]), ([0.5], [1.0]), ([-1.0], [0.5]), ([2.0], [3.0])]
+    regions = [synthetic_region([[1.0]], [0.0], lo, hi, rid=k)
+               for k, (lo, hi) in enumerate(boxes)]
+    decomp = RegionDecomposition(regions=regions,
+                                 theta_space=box_polytope([-1.0], [3.0]))
+    model = GaussianModel([0.0], np.eye(1))
+    spec = SpikeSpec(alpha_minus=np.array([-0.25]), alpha_plus=np.array([0.25]),
+                     lmp_at_mean=np.array([0.0]))
+    bounds = piece_rate_bounds(decomp, model, spec)[:, :, 0]
+    assert np.all(bounds[:, 2] < bounds[:, 1])
+    assert np.all(bounds[:, 1] < bounds[:, 0])
+    assert np.all(bounds[:, 0] <= min(rates.values()))
+    assert np.all(bounds[:, 3] > 1.0)
+    calls = []
+
+    def piece(rf, region, node, sign, spec):
+        calls.append((region.id, sign))
+        return PieceMinimum(rate={**rates, 3: 2.5}[region.id],
+                            theta=np.array([0.5 + region.id]),
+                            region_id=region.id)
+
+    monkeypatch.setattr(spikes, "minimize_rate_piece", piece)
+    analysis = decay_rates(decomp, model, spec)
+    assert calls == [(2, "-"), (1, "-"), (0, "-"), (2, "+"), (1, "+"), (0, "+")]
+    assert analysis.pieces_solved == 6 and analysis.pieces_pruned == 2
+    for sign in ("-", "+"):
+        assert analysis.result(0, sign).region_id == winner
+    assert_same_analysis(analysis, exhaustive_decay_rates(decomp, model, spec))
 
 
 # -- probability approximation ------------------------------------------------------

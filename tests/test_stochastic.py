@@ -85,6 +85,31 @@ def test_sample_moments():
     assert rel < 0.05
 
 
+def test_unit_epsilon_keeps_the_sample_stream():
+    """At eps = 1 the draws are mu + L z bit for bit, chunk by chunk."""
+    model = model2()
+    assert model.epsilon == 1.0
+    draws = sample(model, 2500, seed=11, chunk=1000)
+    expected = []
+    for k, n in enumerate((1000, 1000, 500)):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([11, k], dtype=np.uint64)))
+        z = rng.standard_normal((n, 2))
+        expected.append(model.mu_theta + z @ model.cholesky_lower.T)
+    assert np.array_equal(draws, np.vstack(expected))
+
+
+def test_epsilon_scales_the_sample_covariance():
+    base = model2()
+    model = GaussianModel(base.mu_theta, base.sigma_theta, epsilon=0.25)
+    draws = sample(model, 400_000, seed=7)
+    emp = np.cov(draws.T)
+    target = base.sigma_theta / 4.0
+    assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.02
+    assert np.all(np.abs(draws.mean(axis=0) - base.mu_theta)
+                  <= 4.0 * 0.5 * base.stddevs / np.sqrt(400_000))
+
+
 def test_sample_count_validation():
     with pytest.raises(Exception):
         sample(model2(), 0, seed=1)
