@@ -10,7 +10,9 @@ set from a Fourier-Motzkin projection of the joint (dispatch, injection)
 system.  Row normalization, duplicate removal and region enumeration also
 keep their row-by-row and solve-every-step forms here, as the references
 for the vectorized and solve-free versions, and decay rates their
-solve-every-piece form, the reference for bound-pruned evaluation.
+solve-every-piece form, the reference for bound-pruned evaluation.  LPs
+keep their `scipy.optimize.linprog` form, the reference for the direct
+HiGHS calls of `lp.solve_lp`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.stats import norm
 
 from lmpspike import lp, spikes
@@ -27,6 +30,24 @@ from lmpspike.polytope import ZERO_ROW_TOL, Polytope, box_polytope
 from lmpspike.regions import (RegionDecomposition, _build_region, _joint_lps,
                               _partition_at, _seed_partition,
                               estimate_coverage)
+
+
+def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                      bounds=None) -> lp.LPResult:
+    """`lp.solve_lp` through scipy's `linprog` wrapper."""
+    c = np.asarray(c, dtype=float)
+    if bounds is None:
+        bounds = [(None, None)] * c.size
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if res.status == 0:
+        return lp.LPResult(lp.OPTIMAL, np.asarray(res.x, dtype=float),
+                           float(res.fun))
+    if res.status == 2:
+        return lp.LPResult(lp.INFEASIBLE, None, None)
+    if res.status == 3:
+        return lp.LPResult(lp.UNBOUNDED, None, None)
+    raise NumericalError(f"LP solver failed with status {res.status}: {res.message}")
 
 
 def brute_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None, tol=1e-8):
