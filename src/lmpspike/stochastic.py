@@ -8,6 +8,15 @@ built from it is `spikes.GaussianModel`.  Sampling uses a counter-based
 Philox generator keyed by (seed, chunk), so runs are reproducible and chunk
 order cannot change the stream.  Samples are priced through
 `regions.locate`, the same lookup and tie rule as `locate_region`.
+
+Monte Carlo statistics are streamed: `regions.locate` runs once over all
+samples, a stable counting sort groups the sample indices by region, and
+each region's samples are priced by its affine map in blocks of at most
+`PRICE_BLOCK` rows, so memory grows with the samples, not with samples x
+buses.  A first pass over the blocks counts spikes and finds each node's
+price range; a second pass, only for histograms, re-prices the blocks and
+bins them over that range.  Every figure equals that of binning each
+node's whole price column (see `mc_spike_probabilities`).
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .spikes import (GaussianModel, NodeRanking, SpikeSpec,
                      canonical_groups)
 
 SAMPLE_CHUNK = 1 << 16
+# samples priced per block: 16384 x 14 float64 prices are 1.8 MB on case14
+PRICE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,8 @@ def sample(model: GaussianModel, n: int, seed: int,
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
+    if chunk < 1:
+        raise ConfigError("sample chunk must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     d = model.mu_theta.size
@@ -134,43 +147,6 @@ class MCResult:
         return self.n_samples - self.infeasible_count
 
 
-def evaluate_lmp_samples(samples: np.ndarray, decomposition: RegionDecomposition,
-                         problem: MPQPProblem | None = None):
-    """Price matrix for every sample via `regions.locate`.
-
-    Each sample is priced by the map of the region `locate` assigns, so the
-    lexicographic tie rule of `locate_region` holds here too.  Samples in no
-    region closure fall back to a direct dispatch solve when a problem is
-    supplied; samples that are infeasible outright are excluded (their price
-    rows are NaN).  Returns (lmp_matrix, feasible_mask, fallback_count).
-    """
-    samples = np.asarray(samples, dtype=float)
-    idx = locate(decomposition, samples)
-    hits = np.bincount(idx + 1, minlength=len(decomposition.regions) + 1)
-    occupied = np.flatnonzero(hits[1:])
-    if hits[0] == 0 and occupied.size == 1:
-        # one region holds every sample: price the block as it stands
-        lmp = decomposition.regions[occupied[0]].lmp_at(samples)
-    else:
-        n_nodes = decomposition.regions[0].lmp_c.size
-        lmp = np.full((samples.shape[0], n_nodes), np.nan)
-        for k in occupied:
-            sel = np.flatnonzero(idx == k)
-            lmp[sel] = decomposition.regions[k].lmp_at(samples[sel])
-    feasible = idx >= 0
-    fallback = 0
-    if problem is not None:
-        for i in np.flatnonzero(~feasible):
-            fallback += 1
-            try:
-                sol = solve_opf(problem, samples[i])
-            except InfeasibleError:
-                continue
-            lmp[i] = compute_lmp(sol, problem.ptdf).values
-            feasible[i] = True
-    return lmp, feasible, fallback
-
-
 def mc_spike_probabilities(samples: np.ndarray,
                            decomposition: RegionDecomposition,
                            spec: SpikeSpec,
@@ -182,22 +158,25 @@ def mc_spike_probabilities(samples: np.ndarray,
 
     The per-node event is the price leaving [alpha-, alpha+]; the overall
     event is any filtered node spiking.  Infeasible samples are counted and
-    excluded from the statistics.
+    excluded from the statistics.  Samples are grouped by region and priced
+    a block at a time (see `_price_blocks`), and two passes run over the
+    blocks: the first counts valid samples, each node's spikes, the samples
+    where any node spikes, and each node's price minimum and maximum; the
+    second, run only for histograms, re-prices the same blocks and sums each
+    block's `np.histogram` over that fixed range.  The result is bit for bit
+    that of binning each node's whole price column: counts are integer sums,
+    the extremes do not depend on sample order, each sample's price is the
+    same product of its region's map, and numpy bins uniform bins one
+    element at a time against edges that depend only on the range, which
+    an explicit range derives by the same rule as the automatic one
+    (including the widening by 0.5 when the minimum equals the maximum).
     """
-    lmp, feasible, fallback = evaluate_lmp_samples(samples, decomposition,
-                                                   problem)
-    n_s = samples.shape[0]
-    valid = int(feasible.sum())
-    if valid == 0:
-        raise InfeasibleError("no feasible Monte Carlo samples")
-    vals = lmp if valid == n_s else lmp[feasible]
-    spikes = (vals < spec.alpha_minus) | (vals > spec.alpha_plus)
     nodes = list(spec.nodes())
+    valid, fallback, spike_counts, overall, hists = _stream(
+        samples, decomposition, problem, nodes, bins, spec, with_histograms)
     node_counts = np.zeros(spec.n, dtype=np.int64)
-    node_counts[nodes] = spikes[:, nodes].sum(axis=0)
-    overall = int(np.any(spikes[:, nodes], axis=1).sum())
-    hists = {i: _histogram(vals, i, bins, spec) for i in nodes} \
-        if with_histograms else {}
+    node_counts[nodes] = spike_counts
+    n_s = samples.shape[0]
     return MCResult(n_samples=n_s, seed=seed,
                     node_spike_counts=node_counts,
                     node_spike_probs=node_counts / valid,
@@ -205,7 +184,8 @@ def mc_spike_probabilities(samples: np.ndarray,
                     overall_spike_prob=overall / valid,
                     infeasible_count=n_s - valid,
                     fallback_count=fallback,
-                    histograms=hists)
+                    histograms={i: _node_histogram(i, *h, spec)
+                                for i, h in zip(nodes, hists)})
 
 
 def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
@@ -213,16 +193,102 @@ def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
                       spec: SpikeSpec | None = None,
                       problem: MPQPProblem | None = None) -> NodeHistogram:
     """Histogram of one node's price over the samples, with band markers."""
+    hists = _stream(samples, decomposition, problem, [node], bins)[-1]
+    return _node_histogram(node, *hists[0], spec)
+
+
+def _stream(samples: np.ndarray, decomposition: RegionDecomposition,
+            problem: MPQPProblem | None, nodes: list[int], bins: int,
+            spec: SpikeSpec | None = None, histograms: bool = True):
+    """The two passes over the price blocks, for the `nodes` columns.
+
+    Returns (valid, fallback, spike_counts, overall, hists): the feasible
+    sample count, the fallback count, per-node spike counts and the any-node
+    count (zero without `spec`), and per-node (edges, counts) when
+    histograms are wanted.
+    """
     if bins < 2:
         raise ConfigError("need at least 2 bins")
-    lmp, feasible, _ = evaluate_lmp_samples(samples, decomposition, problem)
-    return _histogram(lmp[feasible], node, bins, spec)
+    blocks, fallback = _price_blocks(samples, decomposition, problem)
+    valid = overall = 0
+    spike_counts = np.zeros(len(nodes), dtype=np.int64)
+    lo = np.full(len(nodes), np.inf)
+    hi = np.full(len(nodes), -np.inf)
+    for block in blocks():
+        vals = block[:, nodes]
+        valid += vals.shape[0]
+        if spec is not None:
+            spikes = (vals < spec.alpha_minus[nodes]) \
+                | (vals > spec.alpha_plus[nodes])
+            spike_counts += spikes.sum(axis=0)
+            overall += int(np.count_nonzero(spikes.any(axis=1)))
+        if histograms:
+            np.minimum(lo, vals.min(axis=0), out=lo)
+            np.maximum(hi, vals.max(axis=0), out=hi)
+    if valid == 0:
+        raise InfeasibleError("no feasible Monte Carlo samples")
+    hists = []
+    if histograms:
+        ranges = list(zip(lo, hi))
+        hists = [(np.histogram_bin_edges(np.empty(0), bins, range=r),
+                  np.zeros(bins, dtype=np.intp)) for r in ranges]
+        for block in blocks():
+            for col, r, (_, counts) in zip(block.T[nodes], ranges, hists):
+                counts += np.histogram(col, bins, range=r)[0]
+    return valid, fallback, spike_counts, overall, hists
 
 
-def _histogram(vals: np.ndarray, node: int, bins: int,
-               spec: SpikeSpec | None) -> NodeHistogram:
-    """Histogram of column `node` of a price matrix, with its band markers."""
-    counts, edges = np.histogram(vals[:, node], bins=bins)
+def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,
+                  problem: MPQPProblem | None):
+    """The feasible samples' price blocks, re-iterable, and the fallback count.
+
+    `regions.locate` assigns each sample its region once, so the tie rule of
+    `locate_region` holds here too.  Samples in no region closure fall back
+    to a direct dispatch solve when a problem is supplied; those that are
+    infeasible outright are left out.  A stable counting sort of the region
+    indices groups the samples by region, and each call of the returned
+    function yields every region's samples priced by its map, at most
+    `PRICE_BLOCK` + 1 rows at a time, then the fallback prices as one block.
+    A one-row block would go through BLAS's matrix-vector kernel, whose
+    rounding may differ from the matrix-matrix one, so a region's block has
+    one row only when the region holds a single sample.
+    """
+    samples = np.asarray(samples, dtype=float)
+    regions = decomposition.regions
+    idx = locate(decomposition, samples)
+    outside = np.flatnonzero(idx < 0)
+    extra = []
+    if problem is not None:
+        for i in outside:
+            try:
+                sol = solve_opf(problem, samples[i])
+            except InfeasibleError:
+                continue
+            extra.append(compute_lmp(sol, problem.ptdf).values)
+    extra = np.array(extra)
+    # counting sort: a stable argsort of a <= 16-bit key is a radix sort;
+    # idx goes first, so only one 8-byte index per sample is held at a time
+    label = (idx + 1).astype(np.min_scalar_type(len(regions)))
+    del idx
+    order = np.argsort(label, kind="stable")
+    ends = np.cumsum(np.bincount(label, minlength=len(regions) + 1))
+
+    def blocks():
+        for region, start, stop in zip(regions, ends[:-1], ends[1:]):
+            while start < stop:
+                end = stop if stop - start <= PRICE_BLOCK + 1 \
+                    else start + PRICE_BLOCK
+                yield region.lmp_at(samples[order[start:end]])
+                start = end
+        if len(extra):
+            yield extra
+
+    return blocks, outside.size if problem is not None else 0
+
+
+def _node_histogram(node: int, edges: np.ndarray, counts: np.ndarray,
+                    spec: SpikeSpec | None) -> NodeHistogram:
+    """A node's histogram with its band markers."""
     hist = NodeHistogram(node=node, edges=edges, counts=counts)
     if spec is not None:
         hist.alpha_minus = float(spec.alpha_minus[node])

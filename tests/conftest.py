@@ -10,6 +10,7 @@ import pytest
 from lmpspike import (GridCase, Generator, Line, assemble_mpqp, case14_path,
                       derive_line_limits, enumerate_regions)
 from lmpspike.pipeline import AnalysisConfig, build_study
+from lmpspike.stochastic import sample
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +92,12 @@ def study14():
     study = build_study(config)
     study.build_seconds = time.perf_counter() - t0
     return study
+
+
+@pytest.fixture(scope="session")
+def samples_high(study14):
+    """The acceptance study's 10^6 Monte Carlo draws at its seed."""
+    return sample(study14.model, 1_000_000, seed=study14.config.mc_seed)
 
 
 @pytest.fixture(scope="session")

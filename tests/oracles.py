@@ -12,7 +12,8 @@ keep their row-by-row and solve-every-step forms here, as the references
 for the vectorized and solve-free versions, and decay rates their
 solve-every-piece form, the reference for bound-pruned evaluation.  LPs
 keep their `scipy.optimize.linprog` form, the reference for the direct
-HiGHS calls of `lp.solve_lp`.
+HiGHS calls of `lp.solve_lp`.  Monte Carlo prices keep their dense
+n x n_nodes matrix, the reference for the streamed statistics.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import norm
 
-from lmpspike import lp, spikes
+from lmpspike import compute_lmp, lp, solve_opf, spikes
 from lmpspike.errors import InfeasibleError, NumericalError
 from lmpspike.polytope import ZERO_ROW_TOL, Polytope, box_polytope
 from lmpspike.regions import (RegionDecomposition, _build_region, _joint_lps,
                               _partition_at, _seed_partition,
-                              estimate_coverage)
+                              estimate_coverage, locate)
 
 
 def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -442,6 +443,55 @@ def locate_scan(decomp, thetas, chunk=4096):
             idx[lo + i] = min(np.flatnonzero(inside[:, i]),
                               key=lambda k: tuple(regions[k].lmp_at(pts[i])))
     return idx
+
+
+def evaluate_lmp_samples(samples, decomposition, problem=None):
+    """Dense price matrix for every sample via `regions.locate`.
+
+    The design that the streamed Monte Carlo pass replaced, kept as its
+    reference: a NaN-filled n x n_nodes matrix, each region's samples priced
+    by its map in one block and scattered in, samples in no region closure
+    solved directly when a problem is supplied (infeasible ones keep NaN
+    rows).  Returns (lmp_matrix, feasible_mask, fallback_count).
+    """
+    samples = np.asarray(samples, dtype=float)
+    idx = locate(decomposition, samples)
+    n_nodes = decomposition.regions[0].lmp_c.size
+    lmp = np.full((samples.shape[0], n_nodes), np.nan)
+    for k in np.unique(idx[idx >= 0]):
+        sel = np.flatnonzero(idx == k)
+        lmp[sel] = decomposition.regions[k].lmp_at(samples[sel])
+    feasible = idx >= 0
+    fallback = 0
+    if problem is not None:
+        for i in np.flatnonzero(~feasible):
+            fallback += 1
+            try:
+                sol = solve_opf(problem, samples[i])
+            except InfeasibleError:
+                continue
+            lmp[i] = compute_lmp(sol, problem.ptdf).values
+            feasible[i] = True
+    return lmp, feasible, fallback
+
+
+def dense_mc_statistics(samples, decomposition, spec, problem=None, bins=200):
+    """Spike counts and whole-column `np.histogram` bins of the dense matrix.
+
+    Returns (node_counts, overall_count, valid, fallback, {node: (counts,
+    edges)}) over the nodes of `spec`'s filter, as the dense design computed
+    them.
+    """
+    lmp, feasible, fallback = evaluate_lmp_samples(samples, decomposition,
+                                                   problem)
+    vals = lmp[feasible]
+    spikes = (vals < spec.alpha_minus) | (vals > spec.alpha_plus)
+    nodes = list(spec.nodes())
+    node_counts = np.zeros(spec.n, dtype=np.int64)
+    node_counts[nodes] = spikes[:, nodes].sum(axis=0)
+    overall = int(np.any(spikes[:, nodes], axis=1).sum())
+    hists = {i: np.histogram(vals[:, i], bins=bins) for i in nodes}
+    return node_counts, overall, vals.shape[0], fallback, hists
 
 
 def brute_vertices(G, w):

@@ -69,11 +69,6 @@ def analysis14(study14):
     return decay_rates(study14.decomposition, study14.model, spec), spec
 
 
-@pytest.fixture(scope="module")
-def samples_high(study14):
-    return sample(study14.model, 1_000_000, seed=MC_SEED)
-
-
 def canonical(order, value_of, rel_tol=1e-9):
     """Sort stretches of (near-)equal values by node id; ties are unordered."""
     out, group = [], [order[0]]

@@ -1,17 +1,23 @@
 """Covariance model, seeded sampling, Monte Carlo machinery."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmpspike import (ConfigError, CovarianceSpec, GaussianModel, GridCase,
-                      Generator, Line, build_covariance, compare_ranking,
-                      compute_lmp, empirical_density, locate_region,
-                      mc_spike_probabilities, sample, solve_opf)
+                      Generator, InfeasibleError, Line, SpikeSpec,
+                      build_covariance, compare_ranking, compute_lmp,
+                      empirical_density, locate, locate_region,
+                      mc_spike_probabilities, sample, solve_opf, stochastic)
 from lmpspike.spikes import NodeRanking, build_thresholds
-from lmpspike.stochastic import (MCResult, NodeHistogram, evaluate_lmp_samples,
-                                 find_modes)
+from lmpspike.stochastic import MCResult, NodeHistogram, find_modes
 
-from oracles import normal_tail, toy2r_lmp
+from oracles import (dense_mc_statistics, evaluate_lmp_samples,
+                     normal_tail, toy2r_lmp)
 
 
 def two_node_case():
@@ -121,6 +127,11 @@ def test_seed_outside_the_philox_key_range_is_a_config_error(seed):
         sample(model2(), 10, seed)
 
 
+def test_zero_sample_chunk_is_a_config_error():
+    with pytest.raises(ConfigError, match="chunk"):
+        sample(model2(), 10, seed=1, chunk=0)
+
+
 # -- Monte Carlo over a decomposition --------------------------------------------
 
 def test_halfspace_tail_matches_closed_form(toy2r):
@@ -175,7 +186,6 @@ def test_union_probability_dominates_each_node(toy_ring):
 
 def test_infinite_band_never_spikes(toy2r):
     problem, _, decomp = toy2r
-    from lmpspike import SpikeSpec
     spec = SpikeSpec(alpha_minus=np.array([-np.inf, -np.inf]),
                      alpha_plus=np.array([np.inf, np.inf]),
                      lmp_at_mean=np.array(toy2r_lmp(5.0)))
@@ -228,14 +238,17 @@ def test_empirical_density_records_band(toy_ring):
 
 def test_mc_fast_path_applies_the_tie_rule(toy2r):
     """At the jump theta = 6 both closures hold the point; the MC pricing
-    takes the lexicographically smaller price vector, as locate_region does."""
+    takes the lexicographically smaller price vector, as locate_region does.
+    One sample makes each node's price range a single value p, which the
+    two-bin histogram widens to [p - 0.5, p + 0.5] with p as its middle edge."""
     problem, _, decomp = toy2r
-    lmp, feas, fallback = evaluate_lmp_samples(np.array([[6.0]]), decomp,
-                                               problem)
+    spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
+    mc = mc_spike_probabilities(np.array([[6.0]]), decomp, spec,
+                                problem=problem, bins=2)
     _, located = locate_region(decomp, [6.0])
-    assert feas.all() and fallback == 0
+    assert mc.valid_samples == 1 and mc.fallback_count == 0
     assert np.allclose(located, [4.0, 4.0], atol=1e-9)
-    assert np.array_equal(lmp[0], located)
+    assert [mc.histograms[i].edges[1] for i in (0, 1)] == list(located)
 
 
 def test_zero_variance_limit_concentrates(toy_ring):
@@ -243,9 +256,134 @@ def test_zero_variance_limit_concentrates(toy_ring):
     mu = np.array([3.0, 4.0])
     model = GaussianModel(mu, 1e-12 * np.eye(2))
     draws = sample(model, 2_000, seed=18)
-    lmp, feas, _ = evaluate_lmp_samples(draws, decomp, problem)
     at_mean = compute_lmp(solve_opf(problem, mu), problem.ptdf).values
-    assert np.abs(lmp[feas] - at_mean).max() < 1e-3
+    for node in range(3):
+        hist = empirical_density(draws, decomp, node, problem=problem)
+        assert hist.counts.sum() == 2_000
+        assert np.abs(hist.edges[[0, -1]] - at_mean[node]).max() < 1e-3
+
+
+@pytest.mark.parametrize("bins", [0, 1])
+def test_fewer_than_two_bins_is_a_config_error(toy2r, bins):
+    problem, _, decomp = toy2r
+    spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
+    draws = np.array([[5.0], [7.0]])
+    with pytest.raises(ConfigError, match="bins"):
+        mc_spike_probabilities(draws, decomp, spec, problem=problem,
+                               bins=bins)
+    with pytest.raises(ConfigError, match="bins"):
+        empirical_density(draws, decomp, 0, bins=bins, problem=problem)
+
+
+# rows outside the parameter set: (dispatch still solves, no dispatch exists)
+OUTSIDE_ROWS = {"toy_ring": ([[-2.0, 3.0], [3.0, -2.0]],
+                             [[40.0, 40.0], [20.0, 1.0]]),
+                "toy2r": ([[-3.0]], [[14.0]])}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_streamed_statistics_match_the_dense_reference(toy_ring, toy2r, data):
+    """Counts, probabilities and histograms equal those of the dense price
+    matrix with whole-column `np.histogram`, bit for bit, with samples split
+    across price blocks of a few rows, fallback and infeasible rows, and a
+    zero-variance model whose price range is a single value."""
+    name = data.draw(st.sampled_from(sorted(OUTSIDE_ROWS)))
+    problem, _, decomp = toy_ring if name == "toy_ring" else toy2r
+    d = decomp.theta_space.dim
+    region = decomp.regions[data.draw(st.integers(0, decomp.n_regions - 1))]
+    offset = np.array(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=d,
+                                         max_size=d)))
+    mu = region.chebyshev_center + region.chebyshev_radius * offset
+    n = data.draw(st.integers(1, 60))
+    if data.draw(st.booleans()):  # zero variance
+        draws = np.tile(mu, (n, 1))
+    else:
+        factor = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d))).reshape(d, d)
+        sigma = factor @ factor.T + 1e-2 * np.eye(d)
+        draws = sample(GaussianModel(mu, sigma), n,
+                       seed=data.draw(st.integers(0, 2 ** 32)))
+    solvable, infeasible = OUTSIDE_ROWS[name]
+    extra = data.draw(st.lists(st.sampled_from(solvable + infeasible),
+                               max_size=4))
+    if extra:
+        draws = np.vstack([draws, extra])
+        draws = draws[data.draw(st.permutations(range(len(draws))))]
+
+    ref = region.lmp_at(mu)
+    widths = st.lists(st.floats(0.01, 3.0), min_size=ref.size,
+                      max_size=ref.size)
+    node_filter = data.draw(st.none() | st.lists(
+        st.integers(0, ref.size - 1), min_size=1, unique=True).map(tuple))
+    spec = SpikeSpec(ref - np.array(data.draw(widths)),
+                     ref + np.array(data.draw(widths)), ref,
+                     node_filter=node_filter)
+    bins = data.draw(st.integers(2, 12))
+    block = data.draw(st.integers(2, 5))
+
+    counts, overall, valid, fallback, hists = dense_mc_statistics(
+        draws, decomp, spec, problem, bins)
+    with mock.patch.object(stochastic, "PRICE_BLOCK", block):
+        if valid == 0:
+            with pytest.raises(InfeasibleError):
+                mc_spike_probabilities(draws, decomp, spec, problem=problem,
+                                       bins=bins)
+            return
+        mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
+                                    bins=bins)
+        node = spec.nodes()[0]
+        density = empirical_density(draws, decomp, node, bins=bins,
+                                    problem=problem)
+    assert np.array_equal(mc.node_spike_counts, counts)
+    assert np.array_equal(mc.node_spike_probs, counts / valid)
+    assert mc.overall_spike_count == overall
+    assert mc.overall_spike_prob == overall / valid
+    assert mc.infeasible_count == len(draws) - valid
+    assert mc.fallback_count == fallback
+    assert sorted(mc.histograms) == sorted(hists)
+    for i, (want_counts, want_edges) in hists.items():
+        hist = mc.histograms[i]
+        assert np.array_equal(hist.edges, want_edges)
+        assert np.array_equal(hist.counts, want_counts)
+        assert hist.counts.dtype == want_counts.dtype
+    assert np.array_equal(density.edges, hists[node][1])
+    assert np.array_equal(density.counts, hists[node][0])
+
+
+@pytest.mark.parametrize("block", [2, 3, 5])
+def test_price_blocks_reproduce_the_dense_prices(study14, samples_high,
+                                                 block):
+    """Every streamed price equals its row of the dense matrix bit for bit,
+    in stable region order then the fallback rows.  case14's price maps have
+    inexact coefficients, so a one-row block, which takes BLAS's
+    matrix-vector kernel, would round differently; the toys' maps do not."""
+    decomp, problem = study14.decomposition, study14.problem
+    draws = samples_high[:3000]
+    lmp, feasible, _ = evaluate_lmp_samples(draws, decomp, problem)
+    idx = locate(decomp, draws)
+    order = np.argsort(idx, kind="stable")
+    want = np.vstack([lmp[order[idx[order] >= 0]], lmp[feasible & (idx < 0)]])
+    with mock.patch.object(stochastic, "PRICE_BLOCK", block):
+        blocks, _ = stochastic._price_blocks(draws, decomp, problem)
+        streamed = np.vstack(list(blocks()))
+    assert np.array_equal(streamed, want)
+
+
+def test_streamed_mc_memory_stays_below_the_price_matrix(study14,
+                                                         samples_high):
+    """10^6 acceptance-study samples are priced without their 10^6 x 14
+    price matrix (112 MiB): the traced peak stays under 40 MiB."""
+    spec = study14.spike_spec(0.25)
+    tracemalloc.start()
+    try:
+        mc = mc_spike_probabilities(samples_high, study14.decomposition, spec,
+                                    problem=study14.problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.valid_samples == 1_000_000 and len(mc.histograms) == 14
+    assert peak < 40 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 # -- mode detection ----------------------------------------------------------------
