@@ -20,8 +20,8 @@ from .regions import (CriticalRegion, RegionDecomposition, enumerate_regions,
                       load_decomposition, locate, locate_region,
                       region_lmp_map, save_decomposition)
 from .spikes import (GaussianModel, NodeRanking, SpikeAnalysis, SpikeSpec,
-                     approx_probability, build_thresholds, decay_rates,
-                     minimize_rate_piece, rank_nodes)
+                     build_thresholds, decay_rates, minimize_rate_piece,
+                     rank_nodes)
 from .stochastic import (CovarianceSpec, MCResult, build_covariance,
                          compare_ranking, empirical_density,
                          mc_spike_probabilities, sample)

@@ -16,11 +16,19 @@ count is 2 + 2m + 2n_g and every row carries a semantic label.
 Nodal prices decompose as  LMP = lambda * 1 + PTDF' mu  with mu the signed
 congestion dual (lower-limit dual minus upper-limit dual).
 
-Solutions are canonicalized: after the active-set QP identifies the binding
-rows, primal and duals are re-derived from one KKT solve on the sorted
-binding set (or, when that set is degenerate, from a lexicographic dual
-selection LP).  Results are therefore independent of the path the QP
-iteration happened to take.
+Duals follow one rule with two paths.  After the active-set QP identifies
+the binding rows, primal and duals are re-derived from one KKT solve on the
+sorted binding set, so they do not depend on the path the QP iteration took.
+Where that refinement does not apply (more binding rows than units, a
+singular KKT system, or a borderline identification the refined point
+fails), the QP's own multipliers are returned.  They come from one KKT solve
+on the dual method's final working set, which the method keeps linearly
+independent, so they are finite, and the price equals the affine map of the
+critical region keyed by that working set: the limit of an adjacent region's
+price.  On a face where the price map jumps, that region may differ from
+the one `regions.locate` picks by its tie rule, and both prices are valid
+there: on the two-bus toy with one injection, theta = 6 gives the congested
+side's [4, 10] here and [4, 4] from `locate`.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp, qp
+from . import qp
 from .errors import (CaseError, InfeasibleError, NumericalError,
                      SingularActiveSetError)
 from .grid import GridCase, PTDFMatrix, build_ptdf, injections
@@ -268,6 +276,13 @@ def _row_duals_from(problem: MPQPProblem, lam: float, binding_ineq,
 def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
     """Solve the dispatch QP at a fixed renewable injection with full duals.
 
+    Duals come from one KKT solve on the sorted binding set when it has at
+    most n_g - 1 inequality rows, is nonsingular and reproduces a feasible
+    point with nonnegative multipliers.  Otherwise (`degenerate` marks the
+    first two cases) they are the QP's working-set multipliers, which are
+    finite and equal an adjacent region's price map; on a face where the
+    map jumps this may be another side than the one `regions.locate` picks.
+
     Raises InfeasibleError when theta lies outside the feasible parameter
     set.  Unboundedness cannot occur with H positive definite; if the
     iteration fails anyway that surfaces as NumericalError.
@@ -297,7 +312,7 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
                          if resid[i] >= -tol[i])
 
     degenerate = 1 + len(binding_ineq) > problem.n_g
-    g, lam, row_duals = None, None, None
+    row_duals = None
     if not degenerate:
         try:
             kkt = parametric_kkt(problem, binding_ineq)
@@ -314,14 +329,9 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
             if ok_primal and ok_dual:
                 g, lam = g_c, lam_c
                 row_duals = _row_duals_from(problem, lam, binding_ineq, nu_c)
-    if degenerate:
-        g = g_raw
-        lam, row_duals = _lexicographic_duals(problem, g, binding_ineq)
-    elif row_duals is None:
-        # canonical refinement rejected (borderline identification): keep the
-        # iterate's own multipliers
-        g = g_raw
-        lam = -float(res.eq_duals[0])
+    if row_duals is None:
+        # degenerate, singular or borderline: the QP's working-set multipliers
+        g, lam = g_raw, -float(res.eq_duals[0])
         row_duals = _row_duals_from(
             problem, lam, tuple(range(2, problem.n_rows)), res.ineq_duals)
 
@@ -356,40 +366,6 @@ def _kkt_residual(problem, theta, g, row_duals) -> float:
     return float(max(parts))
 
 
-def _lexicographic_duals(problem: MPQPProblem, g, binding_ineq):
-    """Smallest optimal dual vector in lexicographic order.
-
-    Components are ordered (energy dual, then binding rows by index).  Each
-    stage minimizes one component subject to stationarity, nonnegativity and
-    the previously fixed components.
-    """
-    nb = len(binding_ineq)
-    A_bind = problem.A[list(binding_ineq)] if nb else np.zeros((0, problem.n_g))
-    # variables: (lambda, nu_1..nu_nb); stationarity: H g + h - lambda 1 + A_bind' nu = 0
-    Ae = np.hstack([-np.ones((problem.n_g, 1)), A_bind.T])
-    be = -(problem.H @ g + problem.h)
-    bounds = [(None, None)] + [(0.0, None)] * nb
-    fixed_rows = np.zeros((0, 1 + nb))
-    fixed_vals = np.zeros(0)
-    value = np.zeros(1 + nb)
-    for comp in range(1 + nb):
-        c = np.zeros(1 + nb)
-        c[comp] = 1.0
-        Ae_full = np.vstack([Ae, fixed_rows])
-        be_full = np.concatenate([be, fixed_vals])
-        res = lp.solve_lp(c, A_eq=Ae_full, b_eq=be_full, bounds=bounds)
-        if res.status != lp.OPTIMAL:
-            raise NumericalError("lexicographic dual selection LP failed "
-                                 f"({res.status})")
-        value[comp] = res.x[comp]
-        row = np.zeros((1, 1 + nb))
-        row[0, comp] = 1.0
-        fixed_rows = np.vstack([fixed_rows, row])
-        fixed_vals = np.concatenate([fixed_vals, [value[comp]]])
-    lam = float(value[0])
-    return lam, _row_duals_from(problem, lam, binding_ineq, value[1:])
-
-
 def compute_lmp(solution: OPFSolution, ptdf: PTDFMatrix) -> LMPVector:
     """Nodal prices: energy component plus PTDF-weighted congestion duals."""
     congestion = ptdf.values.T @ solution.mu
@@ -398,14 +374,10 @@ def compute_lmp(solution: OPFSolution, ptdf: PTDFMatrix) -> LMPVector:
                      congestion_component=congestion)
 
 
-def optimal_partition(solution: OPFSolution, problem: MPQPProblem,
-                      tol_act: np.ndarray | float | None = None) -> OptimalPartition:
+def optimal_partition(solution: OPFSolution,
+                      problem: MPQPProblem) -> OptimalPartition:
     """Rows binding at the optimum; the redundant second balance row is dropped."""
-    if tol_act is None:
-        tol = problem.act_tolerance()
-    else:
-        tol = np.broadcast_to(np.asarray(tol_act, dtype=float),
-                              (problem.n_rows,)).astype(float)
+    tol = problem.act_tolerance()
     resid = problem.A @ solution.g_star - problem.b - problem.E @ solution.theta
     binding_ineq = [i for i in range(2, problem.n_rows)
                     if abs(resid[i]) <= tol[i]]

@@ -62,12 +62,6 @@ class CriticalRegion:
             return self.lmp_c + self.lmp_C @ theta
         return theta @ self.lmp_C.T + self.lmp_c
 
-    def dispatch_at(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            return self.dispatch_g0 + self.dispatch_G @ theta
-        return theta @ self.dispatch_G.T + self.dispatch_g0
-
 
 @dataclass
 class RegionDecomposition:
@@ -99,20 +93,18 @@ class RegionDecomposition:
         return self._locator
 
 
-def region_lmp_map(active_set: OptimalPartition, problem: MPQPProblem,
-                   ptdf=None) -> tuple[np.ndarray, np.ndarray]:
+def region_lmp_map(active_set: OptimalPartition,
+                   problem: MPQPProblem) -> tuple[np.ndarray, np.ndarray]:
     """Affine price map (C, c) for a binding set satisfying the rank condition.
 
     Raises SingularActiveSetError when the binding rows are dependent, which
     includes the case of a redundant row smuggled into the partition.
     """
-    if ptdf is None:
-        ptdf = problem.ptdf
     kkt = parametric_kkt(problem, active_set.binding_ineq)
-    return _lmp_map_from_kkt(problem, ptdf, kkt)
+    return _lmp_map_from_kkt(problem, kkt)
 
 
-def _lmp_map_from_kkt(problem, ptdf, kkt):
+def _lmp_map_from_kkt(problem, kkt):
     m, n_t = problem.m, problem.n_theta
     n = problem.case.n
     mu0 = np.zeros(m)
@@ -125,8 +117,9 @@ def _lmp_map_from_kkt(problem, ptdf, kkt):
         elif lab.kind == LINE_LOWER:
             mu0[lab.index] += kkt.nu0[k]
             MuT[lab.index] += kkt.NuT[k]
-    C = np.outer(np.ones(n), kkt.lamT) + ptdf.values.T @ MuT
-    c = kkt.lam0 * np.ones(n) + ptdf.values.T @ mu0
+    ptdf = problem.ptdf.values
+    C = np.outer(np.ones(n), kkt.lamT) + ptdf.T @ MuT
+    c = kkt.lam0 * np.ones(n) + ptdf.T @ mu0
     return C, c
 
 
@@ -159,7 +152,7 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
                       f"(radius {radius:.2e})")
     poly = poly.remove_redundancy()
     center, radius = poly.chebyshev()
-    C, c = _lmp_map_from_kkt(problem, problem.ptdf, kkt)
+    C, c = _lmp_map_from_kkt(problem, kkt)
     region = CriticalRegion(id=-1, partition=partition, polytope=poly,
                             lmp_C=C, lmp_c=c, dispatch_G=kkt.Gg,
                             dispatch_g0=kkt.g0, chebyshev_center=center,

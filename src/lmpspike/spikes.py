@@ -385,15 +385,6 @@ def canonical_groups(order, value_of, rel_tol) -> tuple[int, ...]:
     return tuple(out + sorted(group))
 
 
-def approx_probability(rate_value: float, epsilon: float = 1.0) -> float:
-    """Leading-order spike probability exp(-rate/eps); no prefactor."""
-    if not epsilon > 0.0:
-        raise ConfigError("epsilon must be positive")
-    if not math.isfinite(rate_value):
-        return 0.0
-    return math.exp(-rate_value / epsilon)
-
-
 def write_decay_csv(analysis: SpikeAnalysis, ranking: NodeRanking, path,
                     node_ids=None) -> None:
     """Per-node export: rates per side, minimizer, region, score and rank.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmpspike import enumerate_regions, lp, solve_opf
+from lmpspike import enumerate_regions, lp
 from lmpspike.errors import NumericalError
 from lmpspike.pipeline import build_study
 
@@ -51,16 +51,14 @@ def captured_lps(monkeypatch, run):
 
 
 def test_setup_lps_match_linprog(monkeypatch, study14, toy_ring, toy2r):
-    """Every LP of a case14-study build, of the toy region enumerations and
-    of the lexicographic duals at the toy's degenerate point."""
+    """Every LP of a case14-study build and of the toy region enumerations."""
     calls = captured_lps(monkeypatch, lambda: build_study(study14.config))
     ring = captured_lps(monkeypatch, lambda: enumerate_regions(
         toy_ring[0], [0.0, 0.0], [30.0, 30.0], coverage_samples=2000))
     toy = captured_lps(monkeypatch, lambda: enumerate_regions(
         toy2r[0], [0.0], [25.0], coverage_samples=2000))
-    duals = captured_lps(monkeypatch, lambda: solve_opf(toy2r[0], [6.0]))
-    assert calls and ring and toy and duals
-    for args, kwargs in calls + ring + toy + duals:
+    assert calls and ring and toy
+    for args, kwargs in calls + ring + toy:
         assert_same(args, kwargs)
 
 

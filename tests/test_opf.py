@@ -5,7 +5,8 @@ import pytest
 
 from lmpspike import (GridCase, Generator, InfeasibleError, Line,
                       SingularActiveSetError, assemble_mpqp, compute_lmp,
-                      licq_check, lp, optimal_partition, qp, solve_opf)
+                      licq_check, locate_region, lp, optimal_partition, qp,
+                      solve_opf)
 from lmpspike.opf import (GEN_LOWER, GEN_UPPER, LINE_LOWER, LINE_UPPER,
                           OptimalPartition, parametric_kkt)
 
@@ -164,8 +165,8 @@ class _LPCalled(Exception):
     pass
 
 
-def test_nondegenerate_dispatch_runs_no_lp(monkeypatch, toy_hand, toy2r):
-    """Only the lexicographic duals at degenerate points may call an LP."""
+def test_dispatch_runs_no_lp(monkeypatch, toy_hand, toy2r, toy_ring):
+    """No dispatch solve calls an LP, at degenerate points included."""
     from lmpspike import case14_path, derive_line_limits, load_case
 
     def no_lp(*args, **kwargs):
@@ -180,8 +181,9 @@ def test_nondegenerate_dispatch_runs_no_lp(monkeypatch, toy_hand, toy2r):
     assert not solve_opf(toy_hand).degenerate
     problem, _, _ = toy2r
     assert not solve_opf(problem, [8.0]).degenerate
-    with pytest.raises(_LPCalled):
-        solve_opf(problem, [6.0])  # degenerate: the dual selection LP runs
+    assert solve_opf(problem, [6.0]).degenerate
+    ring, _, _ = toy_ring
+    assert solve_opf(ring, [7.0, 7.0]).degenerate  # both units at their floor
 
 
 def test_matches_bruteforce_on_random_feasible_points(toy_ring):
@@ -302,13 +304,75 @@ def test_partition_on_facet_sees_both_sides(toy2r):
     assert set(part.binding) >= {0, 2, 7}
 
 
-def test_degenerate_point_gets_lexicographic_duals(toy2r):
-    problem, _, _ = toy2r
+def test_jump_face_takes_adjacent_region_price(toy2r):
+    """Just below the jump at theta = 6 the degenerate solve follows the
+    region map; at 6 itself it takes the congested side {0,2}, a valid
+    price there although `locate` picks the other side by its tie rule."""
+    problem, _, decomp = toy2r
+    for theta in (6.0 - 1e-9, 6.0 - 1e-8):
+        sol = solve_opf(problem, [theta])
+        assert sol.degenerate
+        np.testing.assert_allclose(compute_lmp(sol, problem.ptdf).values,
+                                   locate_region(decomp, [theta])[1],
+                                   rtol=0.0, atol=1e-9)
     sol = solve_opf(problem, [6.0])
     assert sol.degenerate
+    price = compute_lmp(sol, problem.ptdf).values
+    np.testing.assert_allclose(price, decomp.by_key()[(0, 2)].lmp_at([6.0]),
+                               rtol=0.0, atol=1e-9)
     again = solve_opf(problem, [6.0])
     assert np.array_equal(sol.row_duals, again.row_duals)
     assert np.array_equal(sol.g_star, again.g_star)
+    assert np.array_equal(price, compute_lmp(again, problem.ptdf).values)
+
+
+def test_points_at_the_all_floor_facet_get_the_region_price(toy_ring):
+    """On theta1 + theta2 = 14 both units sit at their floor, so the energy
+    dual alone is not pinned down; seeded points on that facet of the
+    parameter set, up to 1e-8 inside, still get `locate_region`'s price."""
+    problem, theta_space, decomp = toy_ring
+    poly = theta_space.normalized()
+    row = int(np.argmax(poly.G @ np.array([1.0, 1.0])))
+    verts = theta_space.vertices()
+    ends = verts[np.abs(verts @ poly.G[row] - poly.w[row]) <= 1e-9]
+    assert ends.shape[0] == 2 and np.allclose(ends.sum(axis=1), 14.0)
+    rng = np.random.Generator(np.random.Philox(key=14))
+    for t, jitter in zip(rng.uniform(size=40), rng.uniform(0.0, 1e-8, 40)):
+        point = ends[0] + t * (ends[1] - ends[0])
+        for step in (0.0, 1e-10, 1e-9, 1e-8, jitter):
+            theta = point - step * poly.G[row]
+            sol = solve_opf(problem, theta)
+            assert sol.degenerate
+            np.testing.assert_allclose(compute_lmp(sol, problem.ptdf).values,
+                                       locate_region(decomp, theta)[1],
+                                       rtol=0.0, atol=1e-9)
+
+
+def test_degenerate_facet_points_price_an_adjacent_region(study14):
+    """Each region facet point of the bundled study, stepped 0, 1e-9 and
+    1e-8 into its region, solves; a degenerate solve's price is the map of
+    some region whose closure holds the point."""
+    problem, decomp = study14.problem, study14.decomposition
+    degenerate = 0
+    for region in decomp.regions:
+        poly = region.polytope.normalized()
+        for i in range(poly.n_rows):
+            point = poly.facet_point(i)
+            if point is None:
+                continue
+            for step in (0.0, 1e-9, 1e-8):
+                theta = point - step * poly.G[i]
+                sol = solve_opf(problem, theta)
+                if not sol.degenerate:
+                    continue
+                degenerate += 1
+                price = compute_lmp(sol, problem.ptdf).values
+                gap = min((np.abs(r.lmp_at(theta) - price).max()
+                           for r in decomp.regions
+                           if r.polytope.contains(theta, tol=1e-7)),
+                          default=np.inf)
+                assert gap <= 1e-6, (region.id, i, step)
+    assert degenerate
 
 
 def test_licq_counting():

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmpspike import (ConfigError, GaussianModel, SpikeSpec,
-                      approx_probability, build_thresholds, decay_rates,
-                      minimize_rate_piece, rank_nodes, spikes)
+                      build_thresholds, decay_rates, minimize_rate_piece,
+                      rank_nodes, spikes)
 from lmpspike.regions import CriticalRegion, RegionDecomposition, locate
 from lmpspike.opf import OptimalPartition
 from lmpspike.polytope import box_polytope
@@ -443,21 +443,6 @@ def test_ties_resolve_in_region_id_order_not_bound_order(monkeypatch, rates,
     for sign in ("-", "+"):
         assert analysis.result(0, sign).region_id == winner
     assert_same_analysis(analysis, exhaustive_decay_rates(decomp, model, spec))
-
-
-# -- probability approximation ------------------------------------------------------
-
-def test_probability_trivials():
-    assert approx_probability(0.0) == 1.0
-    assert approx_probability(2.5, 1.0) == pytest.approx(math.exp(-2.5))
-    assert approx_probability(1.0, 0.5) == pytest.approx(math.exp(-2.0))
-    assert approx_probability(math.inf) == 0.0
-
-
-def test_probability_documents_missing_prefactor():
-    # a tiny decay rate approximates certainty even when the true frequency
-    # is visibly below one: the leading-order estimate has no prefactor
-    assert approx_probability(8.1160e-04) == pytest.approx(0.999189, abs=1e-6)
 
 
 # -- export ---------------------------------------------------------------------
