@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import (CaseError, ConfigError, InfeasibleError, LmpSpikeError,
                      NumericalError)
@@ -44,25 +45,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: AnalysisConfig, args) -> AnalysisConfig:
+    """The config with the flags' values, validated by `AnalysisConfig`."""
+    changes = {}
     if args.seed is not None:
-        config.mc_seed = args.seed
+        changes["mc_seed"] = args.seed
     if args.out is not None:
-        config.output_dir = args.out
+        changes["output_dir"] = args.out
     if args.n_samples is not None:
-        if args.n_samples < 1:
-            raise ConfigError("--n-samples must be >= 1")
-        config.mc_n_samples = args.n_samples
+        changes["mc_n_samples"] = args.n_samples
     if args.err_rel is not None:
         try:
             values = [float(v) for v in args.err_rel.split(",") if v]
         except ValueError:
             raise ConfigError(f"bad --err-rel value: {args.err_rel}") from None
-        if not values or any(v <= 0 for v in values):
-            raise ConfigError("--err-rel values must be positive")
-        config.err_rel = values
-        config.alpha_minus = None
-        config.alpha_plus = None
-    return config
+        changes.update(err_rel=values, alpha_minus=None, alpha_plus=None)
+    return replace(config, **changes)
 
 
 def main(argv=None) -> int:

@@ -240,13 +240,13 @@ def base_dispatch(case: GridCase) -> np.ndarray:
     return res.x
 
 
-def derive_line_limits(case: GridCase, gamma_line: float, lambda_safety: float,
-                       zero_flow_fraction: float = 0.05) -> GridCase:
+def derive_line_limits(case: GridCase, gamma_line: float,
+                       lambda_safety: float) -> GridCase:
     """Engineer symmetric line limits from the unconstrained base-case flows.
 
     f_max = lambda_safety * gamma_line * |f_base| per line; a line whose base
     flow is zero would otherwise get a degenerate zero limit, so it receives
-    zero_flow_fraction times the largest base flow magnitude instead.
+    5% of the largest base flow magnitude instead.
     """
     if gamma_line < 1.0:
         raise CaseError("gamma_line must be >= 1")
@@ -257,7 +257,7 @@ def derive_line_limits(case: GridCase, gamma_line: float, lambda_safety: float,
     f_base = ptdf.values @ injections(case, g0, np.zeros(case.n_theta))
     cap = lambda_safety * gamma_line * np.abs(f_base)
     if case.m:
-        floor = zero_flow_fraction * np.abs(f_base).max()
+        floor = 0.05 * np.abs(f_base).max()
         cap = np.where(cap <= 1e-9 * (1.0 + np.abs(f_base).max()), floor, cap)
     new_lines = tuple(replace(ln, f_min=-c, f_max=c)
                       for ln, c in zip(case.lines, cap))

@@ -92,6 +92,10 @@ class MPQPProblem:
         """Per-row binding tolerance, relative to the row right-hand side."""
         return 1e-7 * (1.0 + np.abs(self.b))
 
+    def residual(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Row residuals A g - b - E theta: a row holds at <= 0, binds at 0."""
+        return self.A @ g - self.b - self.E @ theta
+
     def net_demand(self, theta: np.ndarray) -> float:
         return self.case.total_demand() - float(np.sum(theta))
 
@@ -210,8 +214,6 @@ class OPFSolution:
     objective: float
     lambda_energy: float
     mu: np.ndarray          # signed congestion duals: lower-limit minus upper-limit
-    tau_minus: np.ndarray
-    tau_plus: np.ndarray
     flows: np.ndarray
     kkt_residual: float
     row_duals: np.ndarray   # duals of every standard-form inequality row
@@ -273,6 +275,20 @@ def _row_duals_from(problem: MPQPProblem, lam: float, binding_ineq,
     return row_duals
 
 
+def kkt_point(problem: MPQPProblem, kkt: ParametricKKT, theta):
+    """A binding set's KKT solution at theta: (dispatch g, row residuals,
+    energy price lambda, binding-row multipliers nu).  The one evaluation
+    that `solve_opf` and the facet certificates of `regions` share."""
+    g = kkt.g0 + kkt.Gg @ theta
+    return (g, problem.residual(g, theta), kkt.lam0 + float(kkt.lamT @ theta),
+            kkt.nu0 + kkt.NuT @ theta)
+
+
+def dual_tolerance(nu: np.ndarray) -> float:
+    """How far below zero `solve_opf` lets a binding-row multiplier fall."""
+    return 1e-7 * (1.0 + np.abs(nu).max(initial=0.0))
+
+
 def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
     """Solve the dispatch QP at a fixed renewable injection with full duals.
 
@@ -305,9 +321,8 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
             "dispatch infeasible at theta="
             + np.array2string(theta, precision=6)) from None
 
-    g_raw = res.x
+    g, resid = res.x, problem.residual(res.x, theta)
     tol = problem.act_tolerance()
-    resid = problem.A @ g_raw - problem.b - problem.E @ theta
     binding_ineq = tuple(i for i in range(2, problem.n_rows)
                          if resid[i] >= -tol[i])
 
@@ -319,46 +334,30 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
         except SingularActiveSetError:
             degenerate = True
         else:
-            g_c = kkt.g0 + kkt.Gg @ theta
-            lam_c = kkt.lam0 + float(kkt.lamT @ theta)
-            nu_c = kkt.nu0 + kkt.NuT @ theta
-            ok_primal = np.all(problem.A @ g_c - problem.b - problem.E @ theta
-                               <= tol)
-            ok_dual = nu_c.min() >= -1e-7 * (1.0 + np.abs(nu_c).max()) \
-                if nu_c.size else True
-            if ok_primal and ok_dual:
-                g, lam = g_c, lam_c
-                row_duals = _row_duals_from(problem, lam, binding_ineq, nu_c)
+            g_c, resid_c, lam, nu = kkt_point(problem, kkt, theta)
+            if np.all(resid_c <= tol) and \
+                    nu.min(initial=np.inf) >= -dual_tolerance(nu):
+                g, resid = g_c, resid_c
+                row_duals = _row_duals_from(problem, lam, binding_ineq, nu)
     if row_duals is None:
         # degenerate, singular or borderline: the QP's working-set multipliers
-        g, lam = g_raw, -float(res.eq_duals[0])
+        lam = -float(res.eq_duals[0])
         row_duals = _row_duals_from(
             problem, lam, tuple(range(2, problem.n_rows)), res.ineq_duals)
 
-    mu_plus, mu_minus, tau_plus, tau_minus = _stack_duals(problem, row_duals)
+    m = problem.m
     flows = problem.ptdf.values @ injections(problem.case, g, theta)
-    kkt_res = _kkt_residual(problem, theta, g, row_duals)
     return OPFSolution(theta=theta, g_star=g,
                        objective=float(0.5 * g @ problem.H @ g + problem.h @ g),
-                       lambda_energy=lam, mu=mu_minus - mu_plus,
-                       tau_minus=tau_minus, tau_plus=tau_plus, flows=flows,
-                       kkt_residual=kkt_res, row_duals=row_duals,
-                       degenerate=degenerate)
+                       lambda_energy=lam,
+                       mu=row_duals[2 + m:2 + 2 * m] - row_duals[2:2 + m],
+                       flows=flows, row_duals=row_duals, degenerate=degenerate,
+                       kkt_residual=_kkt_residual(problem, g, resid,
+                                                  row_duals))
 
 
-def _stack_duals(problem: MPQPProblem, row_duals: np.ndarray):
-    """Split per-row duals into the named dual vectors of the dispatch problem."""
-    m, n_g = problem.m, problem.n_g
-    mu_plus = row_duals[2:2 + m]
-    mu_minus = row_duals[2 + m:2 + 2 * m]
-    tau_plus = row_duals[2 + 2 * m:2 + 2 * m + n_g]
-    tau_minus = row_duals[2 + 2 * m + n_g:]
-    return mu_plus, mu_minus, tau_plus, tau_minus
-
-
-def _kkt_residual(problem, theta, g, row_duals) -> float:
+def _kkt_residual(problem, g, primal, row_duals) -> float:
     stationarity = problem.H @ g + problem.h + problem.A.T @ row_duals
-    primal = problem.A @ g - problem.b - problem.E @ theta
     comp = row_duals[2:] * primal[2:]
     parts = [np.abs(stationarity).max(), max(primal.max(), 0.0)]
     if comp.size:
@@ -374,11 +373,32 @@ def compute_lmp(solution: OPFSolution, ptdf: PTDFMatrix) -> LMPVector:
                      congestion_component=congestion)
 
 
+def _lmp_map_from_kkt(problem: MPQPProblem, kkt: ParametricKKT):
+    """Affine price map (C, c), LMP = C theta + c, of a binding set: the
+    `compute_lmp` decomposition applied to the parametric duals."""
+    m, n_t = problem.m, problem.n_theta
+    n = problem.case.n
+    mu0 = np.zeros(m)
+    MuT = np.zeros((m, n_t))
+    for k, i in enumerate(kkt.binding_ineq):
+        lab = problem.row_labels[i]
+        if lab.kind == LINE_UPPER:
+            mu0[lab.index] -= kkt.nu0[k]
+            MuT[lab.index] -= kkt.NuT[k]
+        elif lab.kind == LINE_LOWER:
+            mu0[lab.index] += kkt.nu0[k]
+            MuT[lab.index] += kkt.NuT[k]
+    ptdf = problem.ptdf.values
+    C = np.outer(np.ones(n), kkt.lamT) + ptdf.T @ MuT
+    c = kkt.lam0 * np.ones(n) + ptdf.T @ mu0
+    return C, c
+
+
 def optimal_partition(solution: OPFSolution,
                       problem: MPQPProblem) -> OptimalPartition:
     """Rows binding at the optimum; the redundant second balance row is dropped."""
     tol = problem.act_tolerance()
-    resid = problem.A @ solution.g_star - problem.b - problem.E @ solution.theta
+    resid = problem.residual(solution.g_star, solution.theta)
     binding_ineq = [i for i in range(2, problem.n_rows)
                     if abs(resid[i]) <= tol[i]]
     part = _split_binding(problem, binding_ineq)

@@ -151,15 +151,16 @@ class Polytope:
         object.__setattr__(self, "_verts", verts)
         return verts
 
-    def remove_redundancy(self, tol=FACET_TOL) -> "Polytope":
+    def remove_redundancy(self) -> "Polytope":
         """Minimal representation, read off the vertex set.
 
         Near-duplicate rows are collapsed first (the first copy stays).  A
-        remaining row stays when the vertices within `tol` of its hyperplane
-        span a facet, a (d-1)-dimensional face; of several rows on one facet
-        the last stays.  The result is a row subset of `normalized()` in the
-        original order and carries the vertex set along.  An empty polytope
-        comes back normalized; a lower-dimensional one raises InfeasibleError.
+        remaining row stays when the vertices within FACET_TOL of its
+        hyperplane span a facet, a (d-1)-dimensional face; of several rows on
+        one facet the last stays.  The result is a row subset of
+        `normalized()` in the original order and carries the vertex set
+        along.  An empty polytope comes back normalized; a lower-dimensional
+        one raises InfeasibleError.
         """
         p = self.normalized()
         if p.n_rows == 0 or self.is_empty():
@@ -169,8 +170,8 @@ class Polytope:
         slack = w[:, None] - G @ verts.T
         row_of_facet: dict[tuple[int, ...], int] = {}
         for i in range(G.shape[0]):
-            on = np.flatnonzero(slack[i] <= tol)
-            if _spans_facet(verts[on], self.dim, tol):
+            on = np.flatnonzero(slack[i] <= FACET_TOL)
+            if _spans_facet(verts[on], self.dim):
                 row_of_facet[tuple(on)] = i
         keep = sorted(row_of_facet.values())
         return Polytope(G[keep], w[keep], _verts=verts)
@@ -222,14 +223,14 @@ def _distinct_rows(G, w) -> tuple[np.ndarray, np.ndarray]:
     return G[keep], w[keep]
 
 
-def _spans_facet(points, dim: int, tol: float) -> bool:
+def _spans_facet(points, dim: int) -> bool:
     """Whether the points span a (dim-1)-dimensional affine set."""
     if points.shape[0] < dim:
         return False
     if dim == 1:
         return True
     s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
-    return bool(s[dim - 2] > tol)
+    return bool(s[dim - 2] > FACET_TOL)
 
 
 def box_polytope(lo, hi) -> Polytope:

@@ -23,22 +23,24 @@ satisfied and the iteration restarts without it, but the returned point
 must still meet it within that tolerance; otherwise InfeasibleError is
 raised.
 
-Once no row is violated beyond tol * (1 + max|b_in|), point and multipliers
-are re-derived from one KKT solve on the sorted final working set, so they
-depend only on that set and not on the path taken to it.  The exact final
-active set and the Lagrange multipliers are first-class outputs:
+Once no row is violated beyond FEAS_TOL * (1 + max|b_in|), point and
+multipliers are re-derived from one KKT solve on the sorted final working
+set, so they depend only on that set and not on the path taken to it.  The
+exact final active set and the Lagrange multipliers are first-class outputs:
 downstream code reconstructs parametric solution maps from them.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
+# violation (relative to 1 + max|b_in|) up to which a row counts as satisfied
+FEAS_TOL = 1e-9
 # violation (relative to 1 + max|b_in|) up to which a row that cannot be added
 # counts as satisfied: the feasibility verdict of an elastic phase-1 LP with
 # this slack tolerance (tests/oracles.phase1_point)
@@ -55,8 +57,6 @@ class QPResult:
     ineq_duals: np.ndarray        # one per inequality row, >= 0, zero off the active set
     working_set: tuple[int, ...]  # inequality rows active at the solution
     iterations: int = 0
-    # stationarity convention: H x + h + A_eq' eq_duals + A_in' ineq_duals = 0
-    stationarity_residual: float = field(default=0.0)
 
 
 def _as_2d(a, ncols):
@@ -140,12 +140,12 @@ def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):
             work.pop(drop)
 
 
-def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None,
-             max_iter=None, tol=1e-9) -> QPResult:
+def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None) -> QPResult:
     """Dual active-set method; requires H positive definite.
 
     Raises InfeasibleError when the constraints admit no point, and
-    NumericalError on iteration-limit or linear-algebra failure.
+    NumericalError on linear-algebra failure or after 100 (n + m + 1)
+    iterations for n variables and m inequality rows.
     """
     H = np.asarray(H, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -155,15 +155,15 @@ def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None,
     A_in = _as_2d(A_in, n)
     b_in = np.zeros(0) if b_in is None else np.atleast_1d(np.asarray(b_in, dtype=float))
     m = A_in.shape[0]
-    if max_iter is None:
-        max_iter = 100 * (n + m + 1)
+    max_iter = 100 * (n + m + 1)
 
     scale = 1.0 + (np.abs(b_in).max() if m else 0.0)
     aside = np.zeros(m, dtype=bool)
     iterations = 0
     while True:
         work, blocked, its = _dual_pass(H, h, A_eq, b_eq, A_in, b_in, aside,
-                                        tol * scale, max_iter - iterations)
+                                        FEAS_TOL * scale,
+                                        max_iter - iterations)
         iterations += its
         if blocked is None:
             break
@@ -180,8 +180,6 @@ def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None,
     ne = A_eq.shape[0]
     ineq_duals = np.zeros(m)
     ineq_duals[work] = np.maximum(y[ne:], 0.0)
-    resid = H @ x + h + A_eq.T @ y[:ne] + A_in.T @ ineq_duals
     obj = 0.5 * x @ H @ x + h @ x
     return QPResult(x, float(obj), y[:ne], ineq_duals, tuple(work),
-                    iterations=iterations,
-                    stationarity_residual=float(np.abs(resid).max()))
+                    iterations=iterations)

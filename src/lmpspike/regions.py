@@ -26,12 +26,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import lp
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
-from .opf import (LINE_LOWER, LINE_UPPER, MPQPProblem, OptimalPartition,
-                  _check_partition_consistency, _split_binding, licq_check,
-                  optimal_partition, parametric_kkt, solve_opf)
+from .opf import (MPQPProblem, OptimalPartition, _check_partition_consistency,
+                  _lmp_map_from_kkt, _split_binding, dual_tolerance, kkt_point,
+                  licq_check, optimal_partition, parametric_kkt, solve_opf)
 from .polytope import FLAT_TOL, Polytope, box_polytope
 
 DEFAULT_MAX_EXPANSIONS = 10 ** 6
@@ -52,8 +53,6 @@ class CriticalRegion:
     lmp_c: np.ndarray      # n
     dispatch_G: np.ndarray  # n_g x n_theta
     dispatch_g0: np.ndarray
-    chebyshev_center: np.ndarray
-    chebyshev_radius: float
     licq_ok: bool
 
     def lmp_at(self, theta) -> np.ndarray:
@@ -104,25 +103,6 @@ def region_lmp_map(active_set: OptimalPartition,
     return _lmp_map_from_kkt(problem, kkt)
 
 
-def _lmp_map_from_kkt(problem, kkt):
-    m, n_t = problem.m, problem.n_theta
-    n = problem.case.n
-    mu0 = np.zeros(m)
-    MuT = np.zeros((m, n_t))
-    for k, i in enumerate(kkt.binding_ineq):
-        lab = problem.row_labels[i]
-        if lab.kind == LINE_UPPER:
-            mu0[lab.index] -= kkt.nu0[k]
-            MuT[lab.index] -= kkt.NuT[k]
-        elif lab.kind == LINE_LOWER:
-            mu0[lab.index] += kkt.nu0[k]
-            MuT[lab.index] += kkt.NuT[k]
-    ptdf = problem.ptdf.values
-    C = np.outer(np.ones(n), kkt.lamT) + ptdf.T @ MuT
-    c = kkt.lam0 * np.ones(n) + ptdf.T @ mu0
-    return C, c
-
-
 def _region_polytope(problem: MPQPProblem, kkt, box: Polytope) -> Polytope:
     """Primal feasibility of inactive rows plus dual feasibility of active
     ones, within the box; the affine dispatch is feasible on all of it."""
@@ -150,13 +130,11 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
     if radius < min_radius:
         return None, (f"partition {partition}: lower-dimensional region "
                       f"(radius {radius:.2e})")
-    poly = poly.remove_redundancy()
-    center, radius = poly.chebyshev()
     C, c = _lmp_map_from_kkt(problem, kkt)
-    region = CriticalRegion(id=-1, partition=partition, polytope=poly,
+    region = CriticalRegion(id=-1, partition=partition,
+                            polytope=poly.remove_redundancy(),
                             lmp_C=C, lmp_c=c, dispatch_G=kkt.Gg,
-                            dispatch_g0=kkt.g0, chebyshev_center=center,
-                            chebyshev_radius=radius,
+                            dispatch_g0=kkt.g0,
                             licq_ok=licq_check(partition, problem.n_g))
     return region, None
 
@@ -173,39 +151,26 @@ def _cached_kkt(problem: MPQPProblem, kkts: dict, binding_ineq):
     return kkts[key]
 
 
-def _kkt_point(problem: MPQPProblem, kkt, theta):
-    """Row residuals A g - b - E theta and binding-row multipliers at theta,
-    evaluated as `solve_opf` and `optimal_partition` evaluate them."""
-    g = kkt.g0 + kkt.Gg @ theta
-    resid = problem.A @ g - problem.b - problem.E @ theta
-    return resid, kkt.nu0 + kkt.NuT @ theta
-
-
-def _dual_floor(nu) -> float:
-    """Multiplier a certified binding row must exceed: twice the tolerance
-    `solve_opf` grants a negative one."""
-    return 2e-7 * (1.0 + np.abs(nu).max(initial=0.0))
-
-
 def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
     """Binding set at theta, read off the crossed facet without a solve.
 
     The current region's KKT point at theta proposes the neighbour: rows
-    that turn active join, binding rows whose multiplier falls to the floor
-    below leave; failing that, every swap of one joining row for one binding
-    row is tried (a facet where one row replaces another).  A proposal S
-    passes when its own KKT point at theta has every row off S feasible by
-    more than twice the binding tolerance, every row of S (and the balance)
-    within half of it, and every multiplier above the floor 2e-7 (1 +
-    max|nu|).  H is positive definite, so that
-    point is the unique optimum, and a solve at theta finds exactly these
-    binding rows on its canonical path: the returned partition and the
-    nondegenerate verdict are what `_partition_at` returns.  None when no
-    proposal passes.
+    that turn active join, binding rows whose multiplier is at most twice
+    the `dual_tolerance` leave; failing that, every swap of one joining row
+    for one binding row is tried (a facet where one row replaces another).
+    A proposal S passes when its own KKT point at theta has every row off S
+    feasible by more than twice the binding tolerance, every row of S (and
+    the balance) within half of it, and every multiplier above twice the
+    `dual_tolerance` that `solve_opf` grants a negative one.  H is positive
+    definite, so that point is the unique optimum, and a solve at theta
+    finds exactly these binding rows on its canonical path: the returned
+    partition and the nondegenerate verdict are what `_partition_at`
+    returns.  None when no proposal passes.
     """
     tol = problem.act_tolerance()
-    resid, nu = _kkt_point(problem, _cached_kkt(problem, kkts, binding), theta)
-    floor = _dual_floor(nu)
+    _, resid, _, nu = kkt_point(problem, _cached_kkt(problem, kkts, binding),
+                                theta)
+    floor = 2.0 * dual_tolerance(nu)
     joining = [i for i in range(2, problem.n_rows)
                if i not in binding and resid[i] > -tol[i]]
     leaving = {j for j, v in zip(binding, nu) if v <= floor}
@@ -218,12 +183,12 @@ def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
         kkt = _cached_kkt(problem, kkts, rows)
         if kkt is None:
             continue
-        resid, nu = _kkt_point(problem, kkt, theta)
+        _, resid, _, nu = kkt_point(problem, kkt, theta)
         on = np.zeros(problem.n_rows, dtype=bool)
         on[[0, 1, *rows]] = True
         if not (np.all(np.abs(resid[on]) <= 0.5 * tol[on])
                 and np.all(resid[~on] < -2.0 * tol[~on])
-                and np.all(nu > _dual_floor(nu))):
+                and np.all(nu > 2.0 * dual_tolerance(nu))):
             continue
         part = _split_binding(problem, rows)
         try:
@@ -250,8 +215,7 @@ def _proves_infeasible(problem: MPQPProblem, kkt, theta) -> bool:
     by at most |rho| |g' - g| + sum_j max(c_j, 0) |a_j| |g' - g| + |c| |s|
     over the unit bounds, so r must be violated by more than that.
     """
-    resid, _ = _kkt_point(problem, kkt, theta)
-    g = kkt.g0 + kkt.Gg @ theta
+    g, resid, _, _ = kkt_point(problem, kkt, theta)
     n_g = problem.n_g
     # the last 2 n_g rows are the unit bounds g <= g_max and -g <= -g_min
     reach = np.maximum(problem.b[-2 * n_g:-n_g] - g, g + problem.b[-n_g:])
@@ -431,13 +395,13 @@ def _parameter_set(edges, box: Polytope, regions) -> Polytope:
     return space
 
 
-def estimate_coverage(decomp: RegionDecomposition, n_samples: int = 20000,
-                      seed: int = 0) -> float:
+def estimate_coverage(decomp: RegionDecomposition,
+                      n_samples: int = 20000) -> float:
     """Fraction of uniform samples of the parameter set covered by a region."""
     if n_samples <= 0 or decomp.theta_space.n_rows == 0:
         return float("nan")
     lo, hi = decomp.theta_space.bounding_box()
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=0))
     batches = []
     inside = 0
     batch = 4096
@@ -551,26 +515,24 @@ def _closure_reach(region: CriticalRegion, closure: np.ndarray) -> float:
     nearest vertex of the region; inf when either vertex set is unavailable
     (an unbounded or flat region), which turns the margin test off."""
     p = region.polytope
-    seed = (region.chebyshev_center, region.chebyshev_radius)
     try:
-        outer = Polytope(p.G, closure, _cheb=seed).vertices()
+        outer = Polytope(p.G, closure, _cheb=p.chebyshev()).vertices()
         verts = p.vertices()
     except (InfeasibleError, NumericalError, ValueError):
         return np.inf
-    gaps = np.linalg.norm(outer[:, None, :] - verts[None, :, :], axis=2)
-    return float(gaps.min(axis=1).max())
+    return float(cKDTree(verts).query(outer)[0].max())
 
 
-def locate_region(decomp: RegionDecomposition, theta,
-                  tol: float = 1e-9) -> tuple[CriticalRegion, np.ndarray]:
+def locate_region(decomp: RegionDecomposition,
+                  theta) -> tuple[CriticalRegion, np.ndarray]:
     """Region containing theta and its price vector, by the `locate` rule.
 
-    Raises InfeasibleError outside the parameter set (checked to `tol`); a
+    Raises InfeasibleError outside the parameter set (checked to 1e-9); a
     point in a numeric sliver between regions takes the least-violated
     closure.
     """
     theta = np.asarray(theta, dtype=float)
-    if not decomp.theta_space.contains(theta, tol=max(tol, 1e-9)):
+    if not decomp.theta_space.contains(theta, tol=1e-9):
         raise InfeasibleError("theta outside the feasible parameter set")
     k = int(locate(decomp, theta)[0])
     if k < 0:
@@ -599,8 +561,8 @@ def save_decomposition(decomp: RegionDecomposition, path) -> None:
                 "c": r.lmp_c.tolist(),
                 "dispatch_G": r.dispatch_G.tolist(),
                 "dispatch_g0": r.dispatch_g0.tolist(),
-                "chebyshev_center": r.chebyshev_center.tolist(),
-                "chebyshev_radius": r.chebyshev_radius,
+                "chebyshev_center": r.polytope.chebyshev()[0].tolist(),
+                "chebyshev_radius": r.polytope.chebyshev()[1],
                 "licq_ok": r.licq_ok,
             }
             for r in decomp.regions
@@ -615,18 +577,16 @@ def load_decomposition(path) -> RegionDecomposition:
     for rd in doc["regions"]:
         part = OptimalPartition(tuple(rd["active_set"]), tuple(rd["b_cong"]),
                                 tuple(rd["b_sat"]))
-        center = np.asarray(rd["chebyshev_center"], dtype=float)
-        radius = float(rd["chebyshev_radius"])
         # the stored center is the polytope's own Chebyshev LP result
         poly = replace(Polytope.from_rows(rd["G"], rd["w"]),
-                       _cheb=(center, radius))
+                       _cheb=(np.asarray(rd["chebyshev_center"], dtype=float),
+                              float(rd["chebyshev_radius"])))
         regions.append(CriticalRegion(
             id=int(rd["id"]), partition=part, polytope=poly,
             lmp_C=np.asarray(rd["C"], dtype=float),
             lmp_c=np.asarray(rd["c"], dtype=float),
             dispatch_G=np.asarray(rd["dispatch_G"], dtype=float),
             dispatch_g0=np.asarray(rd["dispatch_g0"], dtype=float),
-            chebyshev_center=center, chebyshev_radius=radius,
             licq_ok=bool(rd["licq_ok"])))
     decomp = RegionDecomposition(
         regions=regions,

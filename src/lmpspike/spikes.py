@@ -355,9 +355,6 @@ class NodeRanking:
     rates: tuple[float, ...]
     normalized_scores: tuple[float, ...]  # -min_k rate_k / rate_i, in [-1, 0]
 
-    def position(self, node: int) -> int:
-        return self.nodes.index(node)
-
 
 def rank_nodes(analysis: SpikeAnalysis) -> NodeRanking:
     """Ascending rates; rates tied within RATE_TIE_RTOL go by node index."""

@@ -296,20 +296,18 @@ def _node_histogram(node: int, edges: np.ndarray, counts: np.ndarray,
     return hist
 
 
-def find_modes(hist: NodeHistogram, min_separation: int = 3,
-               valley_depth: float = 0.2,
-               min_count_frac: float = 0.05) -> list[int]:
+def find_modes(hist: NodeHistogram) -> list[int]:
     """Bin indices of distinct histogram modes.
 
-    A candidate is a strict-or-plateau local maximum at least min_count_frac
-    of the global peak (sampling noise in sparse tails is not a mode);
-    candidates are accepted greedily by height if they sit at least
-    `min_separation` bins from every accepted mode and the valley between
-    them drops at least `valley_depth` below the smaller of the two peaks.
+    A candidate is a strict-or-plateau local maximum at least 5% of the
+    global peak (sampling noise in sparse tails is not a mode); candidates
+    are accepted greedily by height if they sit at least 3 bins from every
+    accepted mode and the valley between them drops at least 20% below the
+    smaller of the two peaks.
     """
     c = hist.counts.astype(float)
     n = c.size
-    floor = min_count_frac * c.max() if c.size else 0.0
+    floor = 0.05 * c.max() if c.size else 0.0
     candidates = []
     for i in range(n):
         left = c[i - 1] if i > 0 else -1.0
@@ -322,12 +320,12 @@ def find_modes(hist: NodeHistogram, min_separation: int = 3,
     for i in candidates:
         ok = True
         for j in accepted:
-            if abs(i - j) < min_separation:
+            if abs(i - j) < 3:
                 ok = False
                 break
             lo, hi = min(i, j), max(i, j)
             valley = c[lo:hi + 1].min()
-            if valley > (1.0 - valley_depth) * min(c[i], c[j]):
+            if valley > 0.8 * min(c[i], c[j]):
                 ok = False
                 break
         if ok:
@@ -344,19 +342,16 @@ class RankingComparison:
     ldp_order: tuple[int, ...]
 
 
-def compare_ranking(mc: MCResult, ldp: NodeRanking,
-                    resolution_floor: float | None = None,
-                    tie_rel_tol: float = 1e-9) -> RankingComparison:
+def compare_ranking(mc: MCResult, ldp: NodeRanking) -> RankingComparison:
     """Order agreement between empirical frequencies and decay rates.
 
-    Only nodes whose spike frequency clears a resolution floor (default: 10
-    observed events) enter the comparison.  Exactly tied values on either
-    side have no canonical order, so both orders are canonicalized by sorting
-    tied groups by node index before comparing; the rank correlation uses the
-    raw values.
+    Only nodes with at least 10 observed spikes enter the comparison.  Tied
+    values on either side (rates within a relative 1e-9, exactly equal
+    frequencies) have no canonical order, so both orders are canonicalized
+    by sorting tied groups by node index before comparing; the rank
+    correlation uses the raw values.
     """
-    if resolution_floor is None:
-        resolution_floor = 10.0 / max(mc.valid_samples, 1)
+    resolution_floor = 10.0 / max(mc.valid_samples, 1)
     probs = mc.node_spike_probs
     resolvable = [n for n in ldp.nodes if probs[n] >= resolution_floor]
     rate_of = dict(zip(ldp.nodes, ldp.rates))
@@ -364,7 +359,7 @@ def compare_ranking(mc: MCResult, ldp: NodeRanking,
     mc_order = sorted(resolvable, key=lambda n: (-probs[n], n))
     ldp_order = canonical_groups(
         sorted(resolvable, key=lambda n: (rate_of[n], n)), rate_of.__getitem__,
-        tie_rel_tol)
+        1e-9)
     mc_canon = canonical_groups(mc_order, lambda n: -probs[n], 0.0)
     exact = mc_canon == ldp_order
 

@@ -304,7 +304,7 @@ def lp_remove_redundancy(poly: Polytope, tol=1e-8) -> Polytope:
     return Polytope(G[alive], w[alive])
 
 
-def fourier_motzkin(A, b, eliminate, prune_tol=1e-8) -> tuple[np.ndarray, np.ndarray]:
+def fourier_motzkin(A, b, eliminate) -> tuple[np.ndarray, np.ndarray]:
     """Project {x : A x <= b} onto the coordinates not in `eliminate`.
 
     Eliminated columns are removed one at a time; after each elimination the
@@ -333,7 +333,7 @@ def fourier_motzkin(A, b, eliminate, prune_tol=1e-8) -> tuple[np.ndarray, np.nda
         p = Polytope(A, b)
         if p.is_empty():
             raise InfeasibleError("projection is empty")
-        p = p.remove_redundancy(tol=prune_tol)
+        p = p.remove_redundancy()
         A, b = p.G, p.w
     return A, b
 
@@ -375,14 +375,21 @@ def lp_facet_point(poly: Polytope, i: int) -> np.ndarray | None:
 
 
 def lp_support(poly: Polytope, direction) -> float:
-    """max direction @ x over the polytope (inf when unbounded)."""
-    res = lp.solve_lp(-np.asarray(direction, dtype=float),
+    """max direction @ x over the polytope (inf when unbounded).
+
+    The LP maximizes along the unit direction: HiGHS accepts any vertex as
+    optimal once the reduced costs fall below its 1e-7 dual tolerance, so a
+    raw direction of norm 1e-8 would give an arbitrary vertex.
+    """
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    res = lp.solve_lp(-direction / norm if norm > 0.0 else direction,
                       A_ub=poly.G, b_ub=poly.w)
     if res.status == lp.UNBOUNDED:
         return np.inf
     if res.status == lp.INFEASIBLE:
         raise InfeasibleError("support of empty polytope")
-    return -res.fun
+    return float(direction @ res.x)
 
 
 def lp_bounding_box(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:

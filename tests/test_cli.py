@@ -149,6 +149,17 @@ def test_zero_err_rel_exits_2(toy_config):
                  "--err-rel", "0"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--err-rel", ","], "err_rel list is empty"),
+    (["--err-rel", "0.25,x"], "bad --err-rel value"),
+    (["--n-samples", "0"], "mc_n_samples must be >= 1"),
+], ids=["empty-err-rel", "non-numeric-err-rel", "zero-n-samples"])
+def test_bad_override_exits_2(toy_config, capsys, flags, message):
+    config_path, _ = toy_config
+    assert main(["mc", "--config", str(config_path), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_infeasible_forecast_exits_3(toy_config):
     config_path, _ = toy_config
     doc = json.loads(config_path.read_text())

@@ -194,6 +194,24 @@ def padded_polytopes(draw):
     return Polytope(np.asarray(G)[order], np.asarray(w)[order])
 
 
+# box [-2, 2]^2 cut by x + y <= 1: eliminating y leaves [-2, 2], whose
+# support along u = 1e-8 is 2e-8, below the LP solver's dual tolerance
+CUT_SQUARE = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                [0.0, -1.0], [1.0, 1.0]]),
+                      np.array([2.0, 2.0, 2.0, 2.0, 1.0]))
+
+
+class Draws:
+    """Stands in for `st.data()` in an explicit example: hands out the
+    given values in order, whatever strategy is asked for."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 def assert_same_rows(poly):
     ours, ref = poly.remove_redundancy(), lp_remove_redundancy(poly)
     assert np.array_equal(ours.G, ref.G) and np.array_equal(ours.w, ref.w)
@@ -215,6 +233,7 @@ def test_redundancy_with_injected_rows_matches_lp_reference(poly):
 @PROPERTY
 @given(bounded_polytopes(),
        st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+@example(CUT_SQUARE, [1e-8, 0.0, 0.0, 0.0, 0.0])
 def test_support_and_box_match_lp_reference(poly, direction):
     u = np.asarray(direction[:poly.dim])
     assert poly.support(u) == pytest.approx(lp_support(poly, u), abs=1e-9)
@@ -236,6 +255,7 @@ def test_facet_points_share_the_lp_reference_facet(poly):
 
 @PROPERTY
 @given(bounded_polytopes(min_dim=2), st.data())
+@example(CUT_SQUARE, Draws(1, [1e-8]))
 def test_projection_matches_lp_reference(poly, data):
     """Supports of the projection are supports of the lifted direction, and
     the pruned projection has no redundant row left."""

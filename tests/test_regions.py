@@ -11,7 +11,7 @@ from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
                       enumerate_regions, load_decomposition, locate,
                       locate_region, lp, optimal_partition, region_lmp_map,
                       regions, save_decomposition, solve_opf)
-from lmpspike.opf import OptimalPartition, parametric_kkt
+from lmpspike.opf import OptimalPartition, kkt_point, parametric_kkt
 from lmpspike.polytope import box_polytope
 from lmpspike.regions import (LOCATE_CHUNK, _certified_crossing,
                               _partition_at)
@@ -234,14 +234,13 @@ def test_enumeration_equals_the_solve_every_step_reference(any_system):
     assert [r.partition for r in ours.regions] \
         == [r.partition for r in ref.regions]
     for a, b in zip(ours.regions, ref.regions):
-        for name in ("lmp_C", "lmp_c", "dispatch_G", "dispatch_g0",
-                     "chebyshev_center"):
+        for name in ("lmp_C", "lmp_c", "dispatch_G", "dispatch_g0"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.chebyshev_radius == b.chebyshev_radius
         assert np.array_equal(a.polytope.G, b.polytope.G)
         assert np.array_equal(a.polytope.w, b.polytope.w)
         assert np.array_equal(a.polytope.chebyshev()[0],
                               b.polytope.chebyshev()[0])
+        assert a.polytope.chebyshev()[1] == b.polytope.chebyshev()[1]
     assert ours.certified_crossings + ours.fallback_solves == steps
     assert ours.certified_crossings > 0
     assert same_vertex_sets(ours.theta_space, ref.theta_space)
@@ -301,8 +300,7 @@ def test_farkas_test_proves_nothing_at_feasible_points(any_system):
     for region in decomp.regions:
         kkt = parametric_kkt(problem, region.partition.binding_ineq)
         for theta in pts:
-            violated += int(regions._kkt_point(problem, kkt, theta)[0].max()
-                            > 0.0)
+            violated += int(kkt_point(problem, kkt, theta)[1].max() > 0.0)
             assert not regions._proves_infeasible(problem, kkt, theta)
     assert violated > len(pts)
 
@@ -310,7 +308,7 @@ def test_farkas_test_proves_nothing_at_feasible_points(any_system):
 def test_parameter_set_rejects_a_facet_that_cuts_a_region(toy_ring):
     _, _, decomp = toy_ring
     box = box_polytope([0.0, 0.0], [30.0, 30.0])
-    center = decomp.regions[0].chebyshev_center
+    center = decomp.regions[0].polytope.chebyshev()[0]
     with pytest.raises(NumericalError, match="outside the parameter set"):
         regions._parameter_set([np.array([1.0, 0.0, center[0]])], box,
                                decomp.regions)
@@ -372,9 +370,10 @@ def test_continuity_on_shared_facets_under_rank_condition(toy_ring):
 def test_locate_center_finds_owner(toy_ring):
     _, _, decomp = toy_ring
     for region in decomp.regions:
-        found, vals = locate_region(decomp, region.chebyshev_center)
+        center = region.polytope.chebyshev()[0]
+        found, vals = locate_region(decomp, center)
         assert found.id == region.id
-        assert np.allclose(vals, region.lmp_at(region.chebyshev_center))
+        assert np.allclose(vals, region.lmp_at(center))
 
 
 def test_locate_matches_brute_force_oracle(toy_ring):
@@ -502,15 +501,12 @@ def test_margin_bounds_every_closure_vertex_distance(any_decomp):
 
 def _wedge_region(rid, G, w, price):
     poly = Polytope.from_rows(G, w).normalized()
-    center, radius = poly.chebyshev()
     return CriticalRegion(id=rid, partition=OptimalPartition((0, rid + 2), (),
                                                              ()),
                           polytope=poly, lmp_C=np.zeros((1, 2)),
                           lmp_c=np.array([price]),
                           dispatch_G=np.zeros((1, 2)),
-                          dispatch_g0=np.zeros(1),
-                          chebyshev_center=center, chebyshev_radius=radius,
-                          licq_ok=True)
+                          dispatch_g0=np.zeros(1), licq_ok=True)
 
 
 def test_closure_of_an_acute_wedge_goes_through_the_tie_rule():
@@ -543,9 +539,7 @@ def test_unbounded_region_turns_the_margin_test_off():
     region = CriticalRegion(id=0, partition=OptimalPartition((0,), (), ()),
                             polytope=half_line, lmp_C=np.zeros((1, 1)),
                             lmp_c=np.zeros(1), dispatch_G=np.zeros((1, 1)),
-                            dispatch_g0=np.zeros(1),
-                            chebyshev_center=np.zeros(1),
-                            chebyshev_radius=1.0, licq_ok=True)
+                            dispatch_g0=np.zeros(1), licq_ok=True)
     decomp = RegionDecomposition(regions=[region], theta_space=half_line)
     pts = np.linspace(-3.0, 3.0, 2 * LOCATE_CHUNK)[:, None]
     got, scanned = _locate_counting_scans(decomp, pts)
@@ -621,7 +615,7 @@ def test_save_load_roundtrip(tmp_path, toy_ring):
         assert np.array_equal(a.lmp_c, b.lmp_c)
         assert np.array_equal(a.polytope.G, b.polytope.G)
         assert np.array_equal(a.polytope.w, b.polytope.w)
-    theta = decomp.regions[0].chebyshev_center
+    theta = decomp.regions[0].polytope.chebyshev()[0]
     r1, v1 = locate_region(decomp, theta)
     r2, v2 = locate_region(loaded, theta)
     assert r1.id == r2.id and np.array_equal(v1, v2)
@@ -647,4 +641,5 @@ def test_loaded_decomposition_locates_without_lps(tmp_path, toy_ring,
     assert np.array_equal(locate(loaded, pts), expected)
     assert calls == []
     for a, b in zip(decomp.regions, loaded.regions):
-        assert np.array_equal(b.polytope.chebyshev()[0], a.chebyshev_center)
+        assert np.array_equal(b.polytope.chebyshev()[0],
+                              a.polytope.chebyshev()[0])

@@ -23,14 +23,11 @@ from oracles import (exhaustive_decay_rates, grid_partition_map,
 def synthetic_region(C, c, lo, hi, rid=0):
     poly = box_polytope(lo, hi).normalized()
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    center, radius = poly.chebyshev()
     return CriticalRegion(id=rid, partition=OptimalPartition((0,), (), ()),
                           polytope=poly, lmp_C=C,
                           lmp_c=np.atleast_1d(np.asarray(c, dtype=float)),
                           dispatch_G=np.zeros((1, C.shape[1])),
-                          dispatch_g0=np.zeros(1),
-                          chebyshev_center=center, chebyshev_radius=radius,
-                          licq_ok=True)
+                          dispatch_g0=np.zeros(1), licq_ok=True)
 
 
 # -- bands ----------------------------------------------------------------------

@@ -294,7 +294,8 @@ def test_streamed_statistics_match_the_dense_reference(toy_ring, toy2r, data):
     region = decomp.regions[data.draw(st.integers(0, decomp.n_regions - 1))]
     offset = np.array(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=d,
                                          max_size=d)))
-    mu = region.chebyshev_center + region.chebyshev_radius * offset
+    center, radius = region.polytope.chebyshev()
+    mu = center + radius * offset
     n = data.draw(st.integers(1, 60))
     if data.draw(st.booleans()):  # zero variance
         draws = np.tile(mu, (n, 1))
@@ -411,7 +412,7 @@ def test_shallow_valley_is_one_mode():
 
 def test_close_peaks_not_separate_modes():
     counts = [0, 80, 0, 90, 0]  # two bins apart: below the separation floor
-    assert len(find_modes(hist_from(counts), min_separation=3)) == 1
+    assert len(find_modes(hist_from(counts))) == 1
 
 
 # -- ranking comparison ----------------------------------------------------------
