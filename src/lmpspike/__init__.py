@@ -9,9 +9,8 @@ by seeded Monte Carlo simulation.
 
 from .errors import (CaseError, ConfigError, InfeasibleError, LmpSpikeError,
                      NumericalError, SingularActiveSetError)
-from .grid import (GridCase, Generator, Line, PTDFMatrix, build_ptdf,
-                   case14_path, derive_line_limits, load_case,
-                   weighted_laplacian)
+from .grid import (GridCase, Generator, Line, build_ptdf, case14_path,
+                   derive_line_limits, load_case, weighted_laplacian)
 from .opf import (LMPVector, MPQPProblem, OPFSolution, OptimalPartition,
                   assemble_mpqp, compute_lmp, licq_check, optimal_partition,
                   solve_opf)

@@ -162,12 +162,6 @@ class GridCase:
         return float(self.loads.sum())
 
 
-@dataclass(frozen=True)
-class PTDFMatrix:
-    values: np.ndarray   # m x n
-    reference_bus: int
-
-
 def incidence_matrix(case: GridCase) -> np.ndarray:
     """Edge-vertex incidence: +1 at the from bus, -1 at the to bus."""
     A = np.zeros((case.m, case.n))
@@ -187,8 +181,8 @@ def weighted_laplacian(case: GridCase) -> np.ndarray:
     return A.T @ np.diag(line_weights(case)) @ A
 
 
-def build_ptdf(case: GridCase) -> PTDFMatrix:
-    """Injection-to-flow sensitivity matrix with a zero reference column.
+def build_ptdf(case: GridCase) -> np.ndarray:
+    """Injection-to-flow sensitivity matrix, m x n, zero reference column.
 
     Deletes the reference row/column of the weighted Laplacian and the
     reference column of the incidence matrix; a singular reduced Laplacian
@@ -202,14 +196,14 @@ def build_ptdf(case: GridCase) -> PTDFMatrix:
     L_red = L[np.ix_(keep, keep)]
     A_red = A[:, keep]
     if case.m == 0:
-        return PTDFMatrix(np.zeros((0, case.n)), case.reference_bus)
+        return np.zeros((0, case.n))
     try:
         sol = np.linalg.solve(L_red, A_red.T)
     except np.linalg.LinAlgError:
         raise CaseError("reduced Laplacian is singular (disconnected graph)") from None
-    values = np.zeros((case.m, case.n))
-    values[:, keep] = B @ sol.T
-    return PTDFMatrix(values, case.reference_bus)
+    ptdf = np.zeros((case.m, case.n))
+    ptdf[:, keep] = B @ sol.T
+    return ptdf
 
 
 def injections(case: GridCase, dispatch: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -254,7 +248,7 @@ def derive_line_limits(case: GridCase, gamma_line: float,
         raise CaseError("lambda_safety must lie in [1/gamma_line, 1]")
     ptdf = build_ptdf(case)
     g0 = base_dispatch(case)
-    f_base = ptdf.values @ injections(case, g0, np.zeros(case.n_theta))
+    f_base = ptdf @ injections(case, g0, np.zeros(case.n_theta))
     cap = lambda_safety * gamma_line * np.abs(f_base)
     if case.m:
         floor = 0.05 * np.abs(f_base).max()

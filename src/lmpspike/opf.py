@@ -40,7 +40,7 @@ import numpy as np
 from . import qp
 from .errors import (CaseError, InfeasibleError, NumericalError,
                      SingularActiveSetError)
-from .grid import GridCase, PTDFMatrix, build_ptdf, injections
+from .grid import GridCase, build_ptdf
 
 BALANCE_UP = "balance+"
 BALANCE_DOWN = "balance-"
@@ -55,11 +55,6 @@ class RowLabel:
     kind: str
     index: int  # line or generator position; 0 for the balance rows
 
-    def __str__(self):
-        if self.kind in (BALANCE_UP, BALANCE_DOWN):
-            return self.kind
-        return f"{self.kind} {self.index}"
-
 
 @dataclass(frozen=True)
 class MPQPProblem:
@@ -70,7 +65,7 @@ class MPQPProblem:
     E: np.ndarray                  # (2 + 2m + 2n_g) x n_theta
     row_labels: tuple[RowLabel, ...]
     case: GridCase
-    ptdf: PTDFMatrix
+    ptdf: np.ndarray               # m x n
 
     @property
     def n_g(self) -> int:
@@ -100,23 +95,21 @@ class MPQPProblem:
         return self.case.total_demand() - float(np.sum(theta))
 
 
-def assemble_mpqp(case: GridCase, ptdf: PTDFMatrix | None = None) -> MPQPProblem:
+def assemble_mpqp(case: GridCase) -> MPQPProblem:
     """Build the standard-form matrices from a case with limits set."""
     if not case.has_line_limits:
         raise CaseError("case is missing line limits; derive or set them first")
     if case.n_g == 0:
         raise CaseError("case has no controllable generators")
-    if ptdf is None:
-        ptdf = build_ptdf(case)
+    ptdf = build_ptdf(case)
     n_g, m, n_t = case.n_g, case.m, case.n_theta
 
     H = np.diag([g.cost_quadratic for g in case.generators])
     h = np.array([g.cost_linear for g in case.generators])
 
-    ptdf_g = ptdf.values[:, case.gen_bus_indices] if m else np.zeros((0, n_g))
-    ptdf_t = (ptdf.values[:, case.renewable_bus_indices]
-              if m else np.zeros((0, n_t)))
-    ptdf_d = ptdf.values @ case.loads if m else np.zeros(0)
+    ptdf_g = ptdf[:, case.gen_bus_indices] if m else np.zeros((0, n_g))
+    ptdf_t = ptdf[:, case.renewable_bus_indices] if m else np.zeros((0, n_t))
+    ptdf_d = ptdf @ case.loads if m else np.zeros(0)
     f_max = np.array([ln.f_max for ln in case.lines])
     f_min = np.array([ln.f_min for ln in case.lines])
     g_max = np.array([g.g_max for g in case.generators])
@@ -214,7 +207,6 @@ class OPFSolution:
     objective: float
     lambda_energy: float
     mu: np.ndarray          # signed congestion duals: lower-limit minus upper-limit
-    flows: np.ndarray
     kkt_residual: float
     row_duals: np.ndarray   # duals of every standard-form inequality row
     degenerate: bool = False
@@ -346,12 +338,11 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
             problem, lam, tuple(range(2, problem.n_rows)), res.ineq_duals)
 
     m = problem.m
-    flows = problem.ptdf.values @ injections(problem.case, g, theta)
     return OPFSolution(theta=theta, g_star=g,
                        objective=float(0.5 * g @ problem.H @ g + problem.h @ g),
                        lambda_energy=lam,
                        mu=row_duals[2 + m:2 + 2 * m] - row_duals[2:2 + m],
-                       flows=flows, row_duals=row_duals, degenerate=degenerate,
+                       row_duals=row_duals, degenerate=degenerate,
                        kkt_residual=_kkt_residual(problem, g, resid,
                                                   row_duals))
 
@@ -365,9 +356,9 @@ def _kkt_residual(problem, g, primal, row_duals) -> float:
     return float(max(parts))
 
 
-def compute_lmp(solution: OPFSolution, ptdf: PTDFMatrix) -> LMPVector:
+def compute_lmp(solution: OPFSolution, ptdf: np.ndarray) -> LMPVector:
     """Nodal prices: energy component plus PTDF-weighted congestion duals."""
-    congestion = ptdf.values.T @ solution.mu
+    congestion = ptdf.T @ solution.mu
     values = solution.lambda_energy + congestion
     return LMPVector(values=values, energy_component=solution.lambda_energy,
                      congestion_component=congestion)
@@ -388,9 +379,8 @@ def _lmp_map_from_kkt(problem: MPQPProblem, kkt: ParametricKKT):
         elif lab.kind == LINE_LOWER:
             mu0[lab.index] += kkt.nu0[k]
             MuT[lab.index] += kkt.NuT[k]
-    ptdf = problem.ptdf.values
-    C = np.outer(np.ones(n), kkt.lamT) + ptdf.T @ MuT
-    c = kkt.lam0 * np.ones(n) + ptdf.T @ mu0
+    C = np.outer(np.ones(n), kkt.lamT) + problem.ptdf.T @ MuT
+    c = kkt.lam0 * np.ones(n) + problem.ptdf.T @ mu0
     return C, c
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridCase, build_ptdf, derive_line_limits, load_case
+from .grid import GridCase, derive_line_limits, load_case
 from .opf import MPQPProblem, assemble_mpqp, compute_lmp, solve_opf
 from .regions import RegionDecomposition, enumerate_regions, save_decomposition
 from .spikes import (GaussianModel, SpikeSpec, build_thresholds, decay_rates,
@@ -140,8 +140,7 @@ def build_study(config: AnalysisConfig) -> Study:
                      reference_bus=config.reference_bus)
     if not case.has_line_limits:
         case = derive_line_limits(case, config.gamma_line, config.lambda_safety)
-    ptdf = build_ptdf(case)
-    problem = assemble_mpqp(case, ptdf)
+    problem = assemble_mpqp(case)
     hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
                                    for g in case.generators) + 1.0
     decomposition = enumerate_regions(problem, box_lo=np.zeros(case.n_theta),
@@ -159,7 +158,7 @@ def build_study(config: AnalysisConfig) -> Study:
             q=config.q, installed=installed, kappa=config.kappa,
             tau_squared=config.tau_squared))
     model = GaussianModel(mu, sigma, epsilon=config.epsilon)
-    lmp_at_mean = compute_lmp(solve_opf(problem, mu), ptdf).values
+    lmp_at_mean = compute_lmp(solve_opf(problem, mu), problem.ptdf).values
     return Study(config=config, case=case, problem=problem,
                  installed=installed, model=model,
                  decomposition=decomposition, lmp_at_mean=lmp_at_mean)
@@ -257,12 +256,11 @@ def cmd_mc(study: Study, echo=print) -> list[Path]:
 def cmd_ptdf(study: Study, echo=print) -> Path:
     out = _prepare_outdir(study.config)
     path = out / "ptdf.csv"
-    ptdf = study.problem.ptdf
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["line"] + [f"bus_{b}" for b in study.case.buses])
-        for k, ln in enumerate(study.case.lines):
+        for ln, row in zip(study.case.lines, study.problem.ptdf):
             writer.writerow([f"{ln.from_bus}-{ln.to_bus}"]
-                            + [repr(float(v)) for v in ptdf.values[k]])
+                            + [repr(float(v)) for v in row])
     echo(f"wrote {path}")
     return path

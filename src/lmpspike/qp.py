@@ -26,8 +26,9 @@ raised.
 Once no row is violated beyond FEAS_TOL * (1 + max|b_in|), point and
 multipliers are re-derived from one KKT solve on the sorted final working
 set, so they depend only on that set and not on the path taken to it.  The
-exact final active set and the Lagrange multipliers are first-class outputs:
-downstream code reconstructs parametric solution maps from them.
+final working set and its Lagrange multipliers are returned with the point;
+`opf.solve_opf` reads the binding set off the point's residuals and takes
+these multipliers only where its own canonical KKT duals do not apply.
 """
 
 from __future__ import annotations

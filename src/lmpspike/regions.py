@@ -527,17 +527,17 @@ def locate_region(decomp: RegionDecomposition,
                   theta) -> tuple[CriticalRegion, np.ndarray]:
     """Region containing theta and its price vector, by the `locate` rule.
 
-    Raises InfeasibleError outside the parameter set (checked to 1e-9); a
-    point in a numeric sliver between regions takes the least-violated
-    closure.
+    Raises InfeasibleError outside the parameter set (checked to 1e-9) and
+    NumericalError for a point inside it that no region's closure holds (a
+    gap in the decomposition).
     """
     theta = np.asarray(theta, dtype=float)
     if not decomp.theta_space.contains(theta, tol=1e-9):
         raise InfeasibleError("theta outside the feasible parameter set")
     k = int(locate(decomp, theta)[0])
     if k < 0:
-        k = int(np.argmin([(r.polytope.G @ theta - r.polytope.w).max()
-                           for r in decomp.regions]))
+        raise NumericalError(f"theta={np.array2string(theta, precision=6)} "
+                             "lies in the parameter set but in no region")
     region = decomp.regions[k]
     return region, region.lmp_at(theta)
 

@@ -29,7 +29,6 @@ from scipy.linalg import cho_solve
 
 from . import qp
 from .errors import ConfigError, InfeasibleError
-from .opf import LMPVector
 from .regions import CriticalRegion, RegionDecomposition
 
 UNREACHABLE = float("inf")
@@ -48,6 +47,9 @@ PRUNE_RTOL = 1e-6
 PRUNE_ATOL = 1e-9
 # price rows at most this long are constant over the region
 FLAT_PRICE_TOL = 1e-12
+# the sides of the band in analysis order, each with its sign s: a spike on
+# side s is s * price > s * edge
+SIDES = {"-": -1.0, "+": 1.0}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class SpikeSpec:
     alpha_minus: np.ndarray
     alpha_plus: np.ndarray
     lmp_at_mean: np.ndarray
-    err_rel: float | None = None
     node_filter: tuple[int, ...] | None = None  # node indices, 0-based
 
     def __post_init__(self):
@@ -83,12 +84,14 @@ class SpikeSpec:
             return tuple(range(self.n))
         return tuple(self.node_filter)
 
+    def edge(self, sign: str) -> np.ndarray:
+        """The band edge that a spike on side `sign` crosses."""
+        return self.alpha_plus if sign == "+" else self.alpha_minus
+
 
 def build_thresholds(lmp_at_mean, err_rel: float,
                      node_filter=None) -> SpikeSpec:
     """Symmetric relative bands around the price at the mean injection."""
-    if isinstance(lmp_at_mean, LMPVector):
-        lmp_at_mean = lmp_at_mean.values
     ref = np.asarray(lmp_at_mean, dtype=float)
     if not err_rel > 0.0:
         raise ConfigError("err_rel must be positive")
@@ -98,7 +101,7 @@ def build_thresholds(lmp_at_mean, err_rel: float,
                           f"{zero.tolist()}: relative band is degenerate")
     half = err_rel * np.abs(ref)
     return SpikeSpec(alpha_minus=ref - half, alpha_plus=ref + half,
-                     lmp_at_mean=ref, err_rel=err_rel,
+                     lmp_at_mean=ref,
                      node_filter=tuple(node_filter) if node_filter is not None
                      else None)
 
@@ -152,40 +155,30 @@ def minimize_rate_piece(model: GaussianModel, region: CriticalRegion, node: int,
                         sign: str, spec: SpikeSpec) -> PieceMinimum | None:
     """Minimum of the rate over one spike piece, or None when the piece is empty.
 
-    The piece is the closure of {theta in the region interior : price at
-    `node` beyond the band on side `sign`}; emptiness of the open piece is
-    decided by the price extreme over the region's vertices before any
-    minimization.
+    The piece is the closure of {theta in the region interior : s * price
+    at `node` > s * edge}, with s the `SIDES` sign of `sign`; emptiness of
+    the open piece is decided by the price extreme over the region's
+    vertices before any minimization.
     """
-    if sign not in ("+", "-"):
+    if sign not in SIDES:
         raise ValueError("sign must be '+' or '-'")
-    crow = region.lmp_C[node]
-    cval = float(region.lmp_c[node])
-    alpha = float(spec.alpha_plus[node] if sign == "+" else spec.alpha_minus[node])
+    s = SIDES[sign]
+    direction = s * region.lmp_C[node]
+    offset = s * float(region.lmp_c[node])
+    edge = s * float(spec.edge(sign)[node])
     poly = region.polytope
-    row_scale = float(np.linalg.norm(crow))
-    strict_tol = 1e-9 * (1.0 + abs(alpha))
+    strict_tol = 1e-9 * (1.0 + abs(edge))
 
-    if row_scale <= FLAT_PRICE_TOL:
+    G, w = poly.G, poly.w
+    if np.linalg.norm(direction) <= FLAT_PRICE_TOL:
         # constant price over the region: the piece is all of it or nothing
-        in_spike = cval > alpha + strict_tol if sign == "+" \
-            else cval < alpha - strict_tol
-        if not in_spike:
+        if not offset > edge + strict_tol:
             return None
-        G, w = poly.G, poly.w
+    elif (poly.vertices() @ direction).max() + offset <= edge + strict_tol:
+        return None  # price never exits the band inside this region
     else:
-        direction = crow if sign == "+" else -crow
-        extreme = float((poly.vertices() @ direction).max()) \
-            + (cval if sign == "+" else -cval)
-        threshold = alpha if sign == "+" else -alpha
-        if extreme <= threshold + strict_tol:
-            return None  # price never exits the band inside this region
-        if sign == "+":
-            G = np.vstack([poly.G, -crow.reshape(1, -1)])
-            w = np.concatenate([poly.w, [cval - alpha]])
-        else:
-            G = np.vstack([poly.G, crow.reshape(1, -1)])
-            w = np.concatenate([poly.w, [alpha - cval]])
+        G = np.vstack([G, -direction.reshape(1, -1)])
+        w = np.concatenate([w, [offset - edge]])
 
     H = model.precision
     h = -H @ model.mu_theta
@@ -214,9 +207,9 @@ def piece_rate_bounds(decomposition: RegionDecomposition, model: GaussianModel,
                       spec: SpikeSpec) -> np.ndarray:
     """Lower bounds on every piece's rate, shape (2, n_regions, n_nodes).
 
-    Axis 0 is the side, '-' then '+'.  A piece lies in every half-space of
-    its region's rows and in its price row's half-space (price >= alpha+ on
-    side '+', <= alpha- on side '-'), so the largest of their `halfspace_rate`
+    Axis 0 is the side in `SIDES` order, '-' then '+'.  A piece lies in
+    every half-space of its region's rows and in its price row's half-space
+    -s C theta <= s (c - edge), so the largest of their `halfspace_rate`
     minima bounds the rate over the piece from below.  A constant price row
     adds nothing.
     """
@@ -224,12 +217,11 @@ def piece_rate_bounds(decomposition: RegionDecomposition, model: GaussianModel,
     for k, region in enumerate(decomposition.regions):
         poly = region.polytope
         rows = halfspace_rate(model, poly.G, poly.w).max(initial=0.0)
-        C = region.lmp_C
+        C, c = region.lmp_C, region.lmp_c
         flat = np.sqrt(np.vecdot(C, C)) <= FLAT_PRICE_TOL
-        for side, (A, b) in enumerate(((C, spec.alpha_minus - region.lmp_c),
-                                       (-C, region.lmp_c - spec.alpha_plus))):
-            own = np.where(flat, 0.0, halfspace_rate(model, A, b))
-            bounds[side, k] = np.maximum(own, rows)
+        for side, (sign, s) in enumerate(SIDES.items()):
+            own = halfspace_rate(model, -s * C, s * (c - spec.edge(sign)))
+            bounds[side, k] = np.maximum(np.where(flat, 0.0, own), rows)
     return bounds
 
 
@@ -252,11 +244,9 @@ class SpikeDecayResult:
 @dataclass
 class SpikeAnalysis:
     """Per-node decay rates, their minimizers, and the overall event rate."""
-    spec: SpikeSpec
     per_side: dict[tuple[int, str], SpikeDecayResult]
     node_rates: dict[int, float]
     overall_rate: float
-    epsilon: float = 1.0
     # pieces `minimize_rate_piece` was called on, and those skipped because
     # their rate bound cleared the best rate; run statistics, not part of
     # any output file
@@ -305,7 +295,7 @@ def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
     node_rates: dict[int, float] = {}
     solved = 0
     for node in spec.nodes():
-        for side, sign in enumerate(("-", "+")):
+        for side, sign in enumerate(SIDES):
             bound = bounds[side, :, node]
             pieces: list[PieceMinimum] = []
             least = UNREACHABLE
@@ -329,9 +319,8 @@ def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
                     region_id=None, boundary_gap=None, on_theta_boundary=False)
                 continue
             region = decomposition.regions[best.region_id]
-            alpha = float(spec.alpha_plus[node] if sign == "+"
-                          else spec.alpha_minus[node])
-            gap = abs(float(region.lmp_at(best.theta)[node]) - alpha)
+            gap = abs(float(region.lmp_at(best.theta)[node])
+                      - float(spec.edge(sign)[node]))
             on_boundary = bool(np.any(
                 theta_poly.G @ best.theta >= theta_poly.w - boundary_tol)) \
                 if theta_poly.n_rows else False
@@ -343,9 +332,9 @@ def decay_rates(decomposition: RegionDecomposition, model: GaussianModel,
                                per_side[(node, "+")].rate)
     overall = min(node_rates.values()) if node_rates else UNREACHABLE
     total = 2 * len(node_rates) * decomposition.n_regions
-    return SpikeAnalysis(spec=spec, per_side=per_side, node_rates=node_rates,
-                         overall_rate=overall, epsilon=model.epsilon,
-                         pieces_solved=solved, pieces_pruned=total - solved)
+    return SpikeAnalysis(per_side=per_side, node_rates=node_rates,
+                         overall_rate=overall, pieces_solved=solved,
+                         pieces_pruned=total - solved)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def grid_partition_map(problem, thetas, tol=1e-7):
     best_obj = np.full(N, np.inf)
     best_lmp = np.full((N, n), np.nan)
     best_g = np.full((N, n_g), np.nan)
-    ptdf_t = problem.ptdf.values.T
+    ptdf_t = problem.ptdf.T
     ones = np.ones((1, problem.n_g))
     total_d = problem.case.total_demand()
 
@@ -652,6 +652,5 @@ def exhaustive_decay_rates(decomposition, model, spec):
         node_rates[node] = min(per_side[(node, "-")].rate,
                                per_side[(node, "+")].rate)
     overall = min(node_rates.values()) if node_rates else spikes.UNREACHABLE
-    return spikes.SpikeAnalysis(spec=spec, per_side=per_side,
-                                node_rates=node_rates, overall_rate=overall,
-                                epsilon=model.epsilon)
+    return spikes.SpikeAnalysis(per_side=per_side, node_rates=node_rates,
+                                overall_rate=overall)

@@ -11,10 +11,11 @@ from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
                       enumerate_regions, load_decomposition, locate,
                       locate_region, lp, optimal_partition, region_lmp_map,
                       regions, save_decomposition, solve_opf)
-from lmpspike.opf import OptimalPartition, kkt_point, parametric_kkt
+from lmpspike.opf import (OptimalPartition, _split_binding, kkt_point,
+                         parametric_kkt)
 from lmpspike.polytope import box_polytope
-from lmpspike.regions import (LOCATE_CHUNK, _certified_crossing,
-                              _partition_at)
+from lmpspike.regions import (LOCATE_CHUNK, _build_region,
+                              _certified_crossing, _partition_at)
 from lmpspike.stochastic import sample
 
 from oracles import (brute_vertices, distinct_interior_partitions,
@@ -244,6 +245,69 @@ def test_enumeration_equals_the_solve_every_step_reference(any_system):
     assert ours.certified_crossings + ours.fallback_solves == steps
     assert ours.certified_crossings > 0
     assert same_vertex_sets(ours.theta_space, ref.theta_space)
+
+
+@pytest.mark.parametrize("system", ["toy2r", "study14", "r4_study"])
+def test_dispatch_solve_at_every_step_gives_the_same_decomposition(
+        system, request, monkeypatch):
+    """With no step certified or proved, every facet step takes the
+    dispatch-solve fallback, its InfeasibleError boundary edge included,
+    and the regions, maps, rows, parameter set and diagnostics are bit for
+    bit those of the normal enumeration; each step is counted."""
+    study = request.getfixturevalue(system)
+    if system == "toy2r":
+        problem, _, ref = study
+        box = ([0.0], [25.0])
+    else:
+        problem, ref, case = study.problem, study.decomposition, study.case
+        hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
+                                       for g in case.generators) + 1.0
+        box = (np.zeros(case.n_theta), np.full(case.n_theta, hi))
+    steps = []
+
+    def uncertified(*args):
+        steps.append(args)
+
+    monkeypatch.setattr(regions, "_certified_crossing", uncertified)
+    monkeypatch.setattr(regions, "_proves_infeasible", lambda *args: False)
+    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    assert (ours.certified_crossings, ours.boundary_steps) == (0, 0)
+    assert ours.fallback_solves == len(steps) > ref.fallback_solves
+    assert ours.degenerate_diagnostics == ref.degenerate_diagnostics
+    assert [r.partition for r in ours.regions] \
+        == [r.partition for r in ref.regions]
+    for a, b in zip(ours.regions, ref.regions):
+        for name in ("lmp_C", "lmp_c", "dispatch_G", "dispatch_g0"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.polytope.G, b.polytope.G)
+        assert np.array_equal(a.polytope.w, b.polytope.w)
+    assert np.array_equal(ours.theta_space.G, ref.theta_space.G)
+    assert np.array_equal(ours.theta_space.w, ref.theta_space.w)
+
+
+def test_build_region_rejection_reasons(toy2r):
+    """The three reasons a partition yields no region, as they appear in
+    `degenerate_diagnostics`."""
+    problem, _, _ = toy2r
+    box = box_polytope([0.0], [25.0])
+
+    def reason(rows, min_radius=1e-9):
+        region, why = _build_region(problem, _split_binding(problem, rows),
+                                    box, min_radius, {})
+        assert region is None
+        return why
+
+    # no unit at a bound: the free dispatch overloads the line everywhere
+    assert reason(()) == "partition {0}: empty region"
+    # both limits of the one line: dependent rows
+    assert reason((2, 3)) == "partition {0,2,3}: singular KKT (rank deficient)"
+    # the congested region [0, 6] has Chebyshev radius 3
+    assert reason((2,), min_radius=4.0) == ("partition {0,2}: "
+                                            "lower-dimensional region "
+                                            "(radius 3.00e+00)")
+    region, why = _build_region(problem, _split_binding(problem, (2,)), box,
+                                1e-9, {})
+    assert why is None and region.partition.key == (0, 2)
 
 
 def test_parameter_set_equals_the_projection(any_system):
@@ -560,6 +624,17 @@ def test_locate_outside_raises(toy2r):
     _, _, decomp = toy2r
     with pytest.raises(InfeasibleError):
         locate_region(decomp, [11.0])
+
+
+def test_locate_in_a_gap_of_the_decomposition_raises(toy2r):
+    """A point of the parameter set that no region's closure holds is an
+    error, not the price of the least-violated region."""
+    _, theta_space, decomp = toy2r
+    kept = [r for r in decomp.regions if r.partition.key != (0, 7)]
+    gap = RegionDecomposition(regions=kept, theta_space=theta_space)
+    with pytest.raises(NumericalError, match="in no region"):
+        locate_region(gap, [8.0])
+    assert locate_region(gap, [3.0])[0].partition.key == (0, 2)
 
 
 def test_located_map_matches_direct_solve(toy_ring):

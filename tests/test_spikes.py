@@ -271,10 +271,7 @@ def _analysis_with(rates):
                                             False)
         per[(node, "+")] = SpikeDecayResult(node, "+", math.inf, None, None,
                                             None, False)
-    spec = SpikeSpec(alpha_minus=np.full(len(rates), -1.0),
-                     alpha_plus=np.full(len(rates), 1.0),
-                     lmp_at_mean=np.zeros(len(rates)))
-    return SpikeAnalysis(spec=spec, per_side=per, node_rates=dict(rates),
+    return SpikeAnalysis(per_side=per, node_rates=dict(rates),
                          overall_rate=min(rates.values()))
 
 
