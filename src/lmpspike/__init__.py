@@ -17,7 +17,7 @@ from .opf import (LMPVector, MPQPProblem, OPFSolution, OptimalPartition,
 from .polytope import Polytope
 from .regions import (CriticalRegion, RegionDecomposition, enumerate_regions,
                       load_decomposition, locate, locate_region,
-                      region_lmp_map, save_decomposition)
+                      save_decomposition)
 from .spikes import (GaussianModel, NodeRanking, SpikeAnalysis, SpikeSpec,
                      build_thresholds, decay_rates, minimize_rate_piece,
                      rank_nodes)

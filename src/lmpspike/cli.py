@@ -22,16 +22,18 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+COMMANDS = {"regions": ("enumerate critical regions", cmd_regions),
+            "rank": ("rank nodes by spike decay rate", cmd_rank),
+            "mc": ("Monte Carlo validation of the ranking", cmd_mc),
+            "ptdf": ("dump the PTDF matrix", cmd_ptdf)}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmpspike",
         description="Price-spike likelihood analysis for DC power grids")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (("regions", "enumerate critical regions"),
-                        ("rank", "rank nodes by spike decay rate"),
-                        ("mc", "Monte Carlo validation of the ranking"),
-                        ("ptdf", "dump the PTDF matrix")):
+    for name, (descr, _) in COMMANDS.items():
         p = sub.add_parser(name, help=descr)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,
@@ -67,15 +69,7 @@ def main(argv=None) -> int:
     try:
         config = AnalysisConfig.from_json(args.config)
         config = _apply_overrides(config, args)
-        study = build_study(config)
-        if args.command == "regions":
-            cmd_regions(study)
-        elif args.command == "rank":
-            cmd_rank(study)
-        elif args.command == "mc":
-            cmd_mc(study)
-        elif args.command == "ptdf":
-            cmd_ptdf(study)
+        COMMANDS[args.command][1](build_study(config))
     except (ConfigError, CaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -190,10 +190,9 @@ def build_ptdf(case: GridCase) -> np.ndarray:
     """
     A = incidence_matrix(case)
     B = np.diag(line_weights(case))
-    L = A.T @ B @ A
     ref = case.bus_index(case.reference_bus)
     keep = [i for i in range(case.n) if i != ref]
-    L_red = L[np.ix_(keep, keep)]
+    L_red = weighted_laplacian(case)[np.ix_(keep, keep)]
     A_red = A[:, keep]
     if case.m == 0:
         return np.zeros((0, case.n))

@@ -364,7 +364,7 @@ def compute_lmp(solution: OPFSolution, ptdf: np.ndarray) -> LMPVector:
                      congestion_component=congestion)
 
 
-def _lmp_map_from_kkt(problem: MPQPProblem, kkt: ParametricKKT):
+def lmp_map(problem: MPQPProblem, kkt: ParametricKKT):
     """Affine price map (C, c), LMP = C theta + c, of a binding set: the
     `compute_lmp` decomposition applied to the parametric duals."""
     m, n_t = problem.m, problem.n_theta

@@ -107,9 +107,8 @@ class Polytope:
         object.__setattr__(self, "_cheb", (center, radius))
         return center, radius
 
-    def is_empty(self, tol=1e-9) -> bool:
-        _, r = self.chebyshev()
-        return r < -tol
+    def is_empty(self) -> bool:
+        return self.chebyshev()[1] < -1e-9
 
     def vertices(self) -> np.ndarray:
         """Vertex set, one row per vertex; computed once and cached.

@@ -31,11 +31,13 @@ from scipy.spatial import cKDTree
 from . import lp
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
 from .opf import (MPQPProblem, OptimalPartition, _check_partition_consistency,
-                  _lmp_map_from_kkt, _split_binding, dual_tolerance, kkt_point,
-                  licq_check, optimal_partition, parametric_kkt, solve_opf)
+                  _split_binding, dual_tolerance, kkt_point, licq_check,
+                  lmp_map, optimal_partition, parametric_kkt, solve_opf)
 from .polytope import FLAT_TOL, Polytope, box_polytope
 
-DEFAULT_MAX_EXPANSIONS = 10 ** 6
+# facet step relative to the enumeration scale, and the cap on facet probes
+STEP_REL = 1e-6
+MAX_EXPANSIONS = 10 ** 6
 # points per product of the full scan in `Locator`, and the pilot size; the
 # product holds every row of every region for each point, so it stays small
 LOCATE_CHUNK = 1024
@@ -81,26 +83,12 @@ class RegionDecomposition:
     def n_regions(self) -> int:
         return len(self.regions)
 
-    def by_key(self) -> dict[tuple[int, ...], CriticalRegion]:
-        return {r.partition.key: r for r in self.regions}
-
     def locator(self) -> "Locator":
         """The point locator behind `locate`, built on first use and kept;
         the region list must not change after that."""
         if self._locator is None:
-            self._locator = Locator(self.regions, self.theta_space.dim)
+            self._locator = Locator(self.regions)
         return self._locator
-
-
-def region_lmp_map(active_set: OptimalPartition,
-                   problem: MPQPProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Affine price map (C, c) for a binding set satisfying the rank condition.
-
-    Raises SingularActiveSetError when the binding rows are dependent, which
-    includes the case of a redundant row smuggled into the partition.
-    """
-    kkt = parametric_kkt(problem, active_set.binding_ineq)
-    return _lmp_map_from_kkt(problem, kkt)
 
 
 def _region_polytope(problem: MPQPProblem, kkt, box: Polytope) -> Polytope:
@@ -130,7 +118,7 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
     if radius < min_radius:
         return None, (f"partition {partition}: lower-dimensional region "
                       f"(radius {radius:.2e})")
-    C, c = _lmp_map_from_kkt(problem, kkt)
+    C, c = lmp_map(problem, kkt)
     region = CriticalRegion(id=-1, partition=partition,
                             polytope=poly.remove_redundancy(),
                             lmp_C=C, lmp_c=c, dispatch_G=kkt.Gg,
@@ -272,15 +260,13 @@ def _seed_partition(problem, center, lo, top):
 
 
 def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
-                      eps_step: float | None = None,
-                      max_expansions: int = DEFAULT_MAX_EXPANSIONS,
                       coverage_samples: int = 20000) -> RegionDecomposition:
     """Critical regions in the box and the parameter set they tile.
 
     Starting from the region that holds the seed of `_joint_lps`, every
-    facet of every discovered region is probed a small distance beyond its
-    hyperplane (scaled by half the smallest width of [box_lo, axis maxima],
-    at least 1); a step that leaves the box stops there.  Otherwise the
+    facet of every discovered region is probed `STEP_REL` times the scale
+    (half the smallest width of [box_lo, axis maxima], at least 1) beyond
+    its hyperplane; a step that leaves the box stops there.  Otherwise the
     current region's KKT point proposes the neighbouring binding set and the
     proposal's own KKT point certifies it (`_certified_crossing`), or the
     current binding rows prove that no dispatch exists there
@@ -300,7 +286,7 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
     lo = -box.w[problem.n_theta:]
     center, top = _joint_lps(problem, box)
     scale = max(1.0, 0.5 * float(np.min(top - lo)))
-    eps = eps_step if eps_step is not None else 1e-6 * scale
+    eps = STEP_REL * scale
     min_radius = 1e-9 * scale
 
     seen: dict[tuple[int, ...], CriticalRegion] = {}
@@ -326,7 +312,7 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
         poly = region.polytope
         for i in range(poly.n_rows):
             expansions += 1
-            if expansions > max_expansions:
+            if expansions > MAX_EXPANSIONS:
                 raise NumericalError("facet expansion cap exceeded")
             fp = poly.facet_point(i)
             if fp is None:
@@ -447,8 +433,9 @@ class Locator:
     to the full scan.
     """
 
-    def __init__(self, regions: list[CriticalRegion], dim: int):
+    def __init__(self, regions: list[CriticalRegion]):
         self.regions = regions
+        dim = regions[0].polytope.dim
         n_rows = max(r.polytope.n_rows for r in regions)
         G = np.zeros((len(regions), n_rows, dim))
         bound = np.zeros((len(regions), n_rows, 1))

@@ -372,11 +372,10 @@ def canonical_groups(order, value_of, rel_tol) -> tuple[int, ...]:
 
 
 def write_decay_csv(analysis: SpikeAnalysis, ranking: NodeRanking, path,
-                    node_ids=None) -> None:
+                    node_ids) -> None:
     """Per-node export: rates per side, minimizer, region, score and rank.
 
-    `node_ids` maps internal 0-based node indices to external bus ids for the
-    output; defaults to index + 1.
+    `node_ids` maps internal 0-based node indices to the printed bus ids.
     """
     n_t = next((r.theta_star.size for r in analysis.per_side.values()
                 if r.theta_star is not None), 0)
@@ -397,8 +396,8 @@ def write_decay_csv(analysis: SpikeAnalysis, ranking: NodeRanking, path,
             theta_cols = ([repr(float(v)) for v in winner.theta_star]
                           if winner.theta_star is not None else [""] * n_t)
             writer.writerow(
-                [node_ids[node] if node_ids else node + 1,
-                 _fmt_rate(minus.rate), _fmt_rate(plus.rate), _fmt_rate(rate_i)]
+                [node_ids[node], _fmt_rate(minus.rate), _fmt_rate(plus.rate),
+                 _fmt_rate(rate_i)]
                 + theta_cols
                 + [winner.region_id if winner.region_id is not None else "",
                    repr(float(score_of[node])), rank_of[node]])

@@ -35,6 +35,7 @@ from .regions import RegionDecomposition, locate
 from .spikes import (GaussianModel, NodeRanking, SpikeSpec,
                      canonical_groups)
 
+# draws per keyed Philox substream: changing it changes every seed's stream
 SAMPLE_CHUNK = 1 << 16
 # samples priced per block: 16384 x 14 float64 prices are 1.8 MB on case14
 PRICE_BLOCK = 16384
@@ -88,8 +89,7 @@ def build_covariance(case: GridCase, spec: CovarianceSpec) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def sample(model: GaussianModel, n: int, seed: int,
-           chunk: int = SAMPLE_CHUNK) -> np.ndarray:
+def sample(model: GaussianModel, n: int, seed: int) -> np.ndarray:
     """n draws of theta = mu + sqrt(eps) L z, chunked into keyed substreams.
 
     L is the Cholesky factor of Sigma and eps the model's noise scale, so
@@ -100,15 +100,13 @@ def sample(model: GaussianModel, n: int, seed: int,
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
-    if chunk < 1:
-        raise ConfigError("sample chunk must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     d = model.mu_theta.size
     L = math.sqrt(model.epsilon) * model.cholesky_lower
     out = np.empty((n, d))
-    for k, start in enumerate(range(0, n, chunk)):
-        stop = min(start + chunk, n)
+    for k, start in enumerate(range(0, n, SAMPLE_CHUNK)):
+        stop = min(start + SAMPLE_CHUNK, n)
         bitgen = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
         rng = np.random.Generator(bitgen)
         z = rng.standard_normal((stop - start, d))
@@ -150,7 +148,7 @@ class MCResult:
 def mc_spike_probabilities(samples: np.ndarray,
                            decomposition: RegionDecomposition,
                            spec: SpikeSpec,
-                           problem: MPQPProblem | None = None,
+                           problem: MPQPProblem,
                            seed: int = 0,
                            bins: int = 200,
                            with_histograms: bool = True) -> MCResult:
@@ -190,15 +188,15 @@ def mc_spike_probabilities(samples: np.ndarray,
 
 def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
                       node: int, bins: int = 200,
-                      spec: SpikeSpec | None = None,
-                      problem: MPQPProblem | None = None) -> NodeHistogram:
+                      spec: SpikeSpec | None = None, *,
+                      problem: MPQPProblem) -> NodeHistogram:
     """Histogram of one node's price over the samples, with band markers."""
     hists = _stream(samples, decomposition, problem, [node], bins)[-1]
     return _node_histogram(node, *hists[0], spec)
 
 
 def _stream(samples: np.ndarray, decomposition: RegionDecomposition,
-            problem: MPQPProblem | None, nodes: list[int], bins: int,
+            problem: MPQPProblem, nodes: list[int], bins: int,
             spec: SpikeSpec | None = None, histograms: bool = True):
     """The two passes over the price blocks, for the `nodes` columns.
 
@@ -239,16 +237,16 @@ def _stream(samples: np.ndarray, decomposition: RegionDecomposition,
 
 
 def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,
-                  problem: MPQPProblem | None):
+                  problem: MPQPProblem):
     """The feasible samples' price blocks, re-iterable, and the fallback count.
 
     `regions.locate` assigns each sample its region once, so the tie rule of
     `locate_region` holds here too.  Samples in no region closure fall back
-    to a direct dispatch solve when a problem is supplied; those that are
-    infeasible outright are left out.  A stable counting sort of the region
-    indices groups the samples by region, and each call of the returned
-    function yields every region's samples priced by its map, at most
-    `PRICE_BLOCK` + 1 rows at a time, then the fallback prices as one block.
+    to a direct dispatch solve; those that are infeasible outright are left
+    out.  A stable counting sort of the region indices groups the samples by
+    region, and each call of the returned function yields every region's
+    samples priced by its map, at most `PRICE_BLOCK` + 1 rows at a time, then
+    the fallback prices as one block.
     A one-row block would go through BLAS's matrix-vector kernel, whose
     rounding may differ from the matrix-matrix one, so a region's block has
     one row only when the region holds a single sample.
@@ -258,13 +256,12 @@ def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,
     idx = locate(decomposition, samples)
     outside = np.flatnonzero(idx < 0)
     extra = []
-    if problem is not None:
-        for i in outside:
-            try:
-                sol = solve_opf(problem, samples[i])
-            except InfeasibleError:
-                continue
-            extra.append(compute_lmp(sol, problem.ptdf).values)
+    for i in outside:
+        try:
+            sol = solve_opf(problem, samples[i])
+        except InfeasibleError:
+            continue
+        extra.append(compute_lmp(sol, problem.ptdf).values)
     extra = np.array(extra)
     # counting sort: a stable argsort of a <= 16-bit key is a radix sort;
     # idx goes first, so only one 8-byte index per sample is held at a time
@@ -283,7 +280,7 @@ def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,
         if len(extra):
             yield extra
 
-    return blocks, outside.size if problem is not None else 0
+    return blocks, outside.size
 
 
 def _node_histogram(node: int, edges: np.ndarray, counts: np.ndarray,
@@ -386,22 +383,21 @@ def _kendall_tau(a, b) -> float:
     return (concordant - discordant) / total if total else 1.0
 
 
-def write_mc_csv(mc: MCResult, path, node_ids=None) -> None:
+def write_mc_csv(mc: MCResult, path, node_ids) -> None:
     import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "spike_count", "spike_prob"])
         for i in range(mc.node_spike_probs.size):
-            writer.writerow([node_ids[i] if node_ids else i + 1,
-                             int(mc.node_spike_counts[i]),
+            writer.writerow([node_ids[i], int(mc.node_spike_counts[i]),
                              repr(float(mc.node_spike_probs[i]))])
 
 
-def write_histograms(mc: MCResult, directory, node_ids=None) -> None:
+def write_histograms(mc: MCResult, directory, node_ids) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, hist in sorted(mc.histograms.items()):
         doc = hist.to_dict()
-        doc["node"] = node_ids[i] if node_ids else i + 1
+        doc["node"] = node_ids[i]
         (directory / f"lmp_hist_node{doc['node']}.json").write_text(
             json.dumps(doc, sort_keys=True))

@@ -321,7 +321,8 @@ def test_jump_face_takes_adjacent_region_price(toy2r):
     sol = solve_opf(problem, [6.0])
     assert sol.degenerate
     price = compute_lmp(sol, problem.ptdf).values
-    np.testing.assert_allclose(price, decomp.by_key()[(0, 2)].lmp_at([6.0]),
+    congested = next(r for r in decomp.regions if r.partition.key == (0, 2))
+    np.testing.assert_allclose(price, congested.lmp_at([6.0]),
                                rtol=0.0, atol=1e-9)
     again = solve_opf(problem, [6.0])
     assert np.array_equal(sol.row_duals, again.row_duals)

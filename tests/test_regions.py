@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
                       Line, NumericalError, Polytope, RegionDecomposition,
-                      SingularActiveSetError, assemble_mpqp, compute_lmp,
-                      enumerate_regions, load_decomposition, locate,
-                      locate_region, lp, optimal_partition, region_lmp_map,
-                      regions, save_decomposition, solve_opf)
+                      SingularActiveSetError, assemble_mpqp, build_thresholds,
+                      compute_lmp, enumerate_regions, load_decomposition,
+                      locate, locate_region, lp, mc_spike_probabilities,
+                      optimal_partition, regions, save_decomposition,
+                      solve_opf)
 from lmpspike.opf import (OptimalPartition, _split_binding, kkt_point,
-                         parametric_kkt)
+                         lmp_map, parametric_kkt)
 from lmpspike.polytope import box_polytope
 from lmpspike.regions import (LOCATE_CHUNK, _build_region,
                               _certified_crossing, _partition_at)
@@ -103,7 +104,7 @@ def test_single_region_when_nothing_can_bind():
 def test_toy2r_two_regions_with_hand_maps(toy2r):
     _, _, decomp = toy2r
     assert decomp.n_regions == 2
-    by_key = decomp.by_key()
+    by_key = {r.partition.key: r for r in decomp.regions}
     congested = by_key[(0, 2)]
     slack = by_key[(0, 7)]
     assert np.allclose(congested.lmp_C.ravel(), [0.0, -1.0], atol=1e-9)
@@ -143,7 +144,7 @@ def test_interiors_pairwise_disjoint(toy_ring):
             shrunk = Polytope(np.vstack([a.polytope.G, b.polytope.G]),
                               np.concatenate([a.polytope.w, b.polytope.w])
                               - 1e-7)
-            assert shrunk.is_empty(tol=1e-12)
+            assert shrunk.is_empty()
 
 
 def test_region_interior_samples_reproduce_partition_and_map(toy_ring):
@@ -163,18 +164,19 @@ def test_region_interior_samples_reproduce_partition_and_map(toy_ring):
             assert np.abs(region.lmp_at(theta) - direct).max() < 1e-6
 
 
-def test_expansion_cap_raises(toy_ring):
-    from lmpspike.errors import NumericalError
+def test_expansion_cap_raises(toy_ring, monkeypatch):
     problem, _, _ = toy_ring
+    monkeypatch.setattr(regions, "MAX_EXPANSIONS", 1)
     with pytest.raises(NumericalError, match="cap"):
-        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0], max_expansions=1,
+        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
                           coverage_samples=0)
 
 
-def test_enumeration_independent_of_step_size(toy_ring):
+def test_enumeration_independent_of_step_size(toy_ring, monkeypatch):
     problem, _, decomp = toy_ring
+    monkeypatch.setattr(regions, "STEP_REL", 30 * regions.STEP_REL)
     bigger = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
-                               eps_step=3e-5, coverage_samples=0)
+                               coverage_samples=0)
     assert {r.partition.key for r in bigger.regions} \
         == {r.partition.key for r in decomp.regions}
 
@@ -281,6 +283,113 @@ def test_dispatch_solve_at_every_step_gives_the_same_decomposition(
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(a.polytope.G, b.polytope.G)
         assert np.array_equal(a.polytope.w, b.polytope.w)
+    assert np.array_equal(ours.theta_space.G, ref.theta_space.G)
+    assert np.array_equal(ours.theta_space.w, ref.theta_space.w)
+
+
+def _assert_same_regions(ours, ref):
+    """Same binding sets, maps and rows, bit for bit."""
+    assert [r.partition for r in ours.regions] \
+        == [r.partition for r in ref.regions]
+    for a, b in zip(ours.regions, ref.regions):
+        for name in ("lmp_C", "lmp_c", "dispatch_G", "dispatch_g0"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.polytope.G, b.polytope.G)
+        assert np.array_equal(a.polytope.w, b.polytope.w)
+
+
+@pytest.mark.parametrize("verdict", ["infeasible", "degenerate"])
+@pytest.mark.parametrize("system", ["toy2r", "toy_ring"])
+def test_seed_falls_back_to_a_seeded_draw(system, verdict, request,
+                                          monkeypatch):
+    """When the dispatch problem at the joint-LP center is infeasible or
+    degenerate, the seed is the first Philox(key=1) draw below the axis
+    maxima that solves nondegenerately, and the regions do not change."""
+    problem, _, ref = request.getfixturevalue(system)
+    box = ([0.0], [25.0]) if system == "toy2r" else ([0.0, 0.0], [30.0, 30.0])
+    center, top = regions._joint_lps(problem, box_polytope(*box))
+    first_draw = np.random.Generator(np.random.Philox(key=1)).uniform(box[0],
+                                                                      top)
+    thetas = []
+
+    def center_fails(problem, theta, solve=_partition_at):
+        thetas.append(np.array(theta))
+        if len(thetas) > 1:
+            return solve(problem, theta)
+        if verdict == "infeasible":
+            raise InfeasibleError("no dispatch")
+        return solve(problem, theta)[0], True
+
+    monkeypatch.setattr(regions, "_partition_at", center_fails)
+    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    assert np.array_equal(thetas[0], center)
+    assert np.array_equal(thetas[1], first_draw)
+    _assert_same_regions(ours, ref)
+
+
+def test_no_seed_among_the_draws_raises(toy_ring, monkeypatch):
+    """The center and all 500 draws infeasible or degenerate: the
+    enumeration stops with a typed error instead of an empty result."""
+    problem, _, _ = toy_ring
+    calls = []
+
+    def never(problem, theta):
+        calls.append(theta)
+        if len(calls) % 2:
+            raise InfeasibleError("no dispatch")
+        return None, True
+
+    monkeypatch.setattr(regions, "_partition_at", never)
+    with pytest.raises(NumericalError,
+                       match="could not find a nondegenerate seed point"):
+        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
+                          coverage_samples=0)
+    assert len(calls) == 501
+
+
+@pytest.mark.parametrize("fault", ["error", "same_key"])
+@pytest.mark.parametrize("system", ["toy2r", "toy_ring"])
+def test_failed_or_returning_fallback_step_goes_ten_times_farther(
+        system, fault, request, monkeypatch):
+    """All steps take the dispatch-solve fallback, as in
+    `test_dispatch_solve_at_every_step_gives_the_same_decomposition`.  The
+    first step that lands in a neighbour instead raises NumericalError,
+    which is recorded in `degenerate_diagnostics`, or reports the current
+    region's binding set, which is skipped; either way the 10x step finds
+    that neighbour and the regions do not change."""
+    problem, _, ref = request.getfixturevalue(system)
+    box = ([0.0], [25.0]) if system == "toy2r" else ([0.0, 0.0], [30.0, 30.0])
+    monkeypatch.setattr(regions, "_certified_crossing", lambda *args: None)
+    monkeypatch.setattr(regions, "_proves_infeasible", lambda *args: False)
+    calls = []
+    seed = []  # the seed's binding set; its region is expanded first
+    steps = []  # binding-set key of each facet step with a dispatch
+    injected = []  # index in `steps` of the faulted step
+
+    def faulty(problem, theta, solve=_partition_at):
+        calls.append(theta)
+        part, degen = solve(problem, theta)
+        if not seed:
+            seed.append(part)
+            return part, degen
+        steps.append(part.key)
+        if injected or degen or part.key == seed[0].key:
+            return part, degen
+        injected.append(len(steps) - 1)
+        if fault == "error":
+            raise NumericalError("injected")
+        return seed[0], False
+
+    monkeypatch.setattr(regions, "_partition_at", faulty)
+    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    k = injected[0]
+    assert steps[k + 1] == steps[k] != seed[0].key
+    assert ours.fallback_solves == len(calls) - 1
+    text = "step from facet failed: injected"
+    assert ours.degenerate_diagnostics.count(text) == (fault == "error")
+    assert [d for d in ours.degenerate_diagnostics if d != text] \
+        == ref.degenerate_diagnostics
+    _assert_same_regions(ours, ref)
     assert np.array_equal(ours.theta_space.G, ref.theta_space.G)
     assert np.array_equal(ours.theta_space.w, ref.theta_space.w)
 
@@ -635,6 +744,14 @@ def test_locate_in_a_gap_of_the_decomposition_raises(toy2r):
     with pytest.raises(NumericalError, match="in no region"):
         locate_region(gap, [8.0])
     assert locate_region(gap, [3.0])[0].partition.key == (0, 2)
+    # Monte Carlo prices such samples by a direct solve and counts them
+    problem = toy2r[0]
+    spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
+    mc = mc_spike_probabilities(np.full((5, 1), 8.0), gap, spec,
+                                problem=problem, bins=2)
+    direct = compute_lmp(solve_opf(problem, [8.0]), problem.ptdf).values
+    assert mc.fallback_count == 5 and mc.infeasible_count == 0
+    assert [mc.histograms[i].edges[1] for i in (0, 1)] == list(direct)
 
 
 def test_located_map_matches_direct_solve(toy_ring):
@@ -662,18 +779,18 @@ def test_toy2r_map_matches_hand_formula(toy2r):
 
 # -- maps from partitions --------------------------------------------------------
 
-def test_region_lmp_map_uncongested_rows_equal(toy2r):
+def test_lmp_map_uncongested_rows_equal(toy2r):
     problem, _, _ = toy2r
-    C, c = region_lmp_map(OptimalPartition((0, 7), (), (7,)), problem)
+    C, c = lmp_map(problem, parametric_kkt(problem, (7,)))
     assert np.abs(C - C[0]).max() < 1e-12
     assert np.abs(c - c[0]).max() < 1e-12
 
 
-def test_region_lmp_map_rejects_redundant_row(toy2r):
+def test_lmp_map_rejects_redundant_row(toy2r):
     problem, _, _ = toy2r
     # adding the opposite side of an already-binding line row is dependent
     with pytest.raises(SingularActiveSetError):
-        region_lmp_map(OptimalPartition((0, 2, 3), (2, 3), ()), problem)
+        lmp_map(problem, parametric_kkt(problem, (2, 3)))
 
 
 # -- persistence -----------------------------------------------------------------

@@ -481,6 +481,6 @@ def test_ulp_ties_go_to_minus_side_then_lower_region(monkeypatch, tmp_path,
     assert analysis.result(0, "-").region_id == 0
     assert analysis.result(0, "+").region_id == 0
     path = tmp_path / "decay.csv"
-    write_decay_csv(analysis, rank_nodes(analysis), path)
+    write_decay_csv(analysis, rank_nodes(analysis), path, node_ids=[1])
     row = path.read_text().strip().splitlines()[1].split(",")
     assert row[4:6] == [repr(-0.5), "0"]  # theta_star_1 and region of '-'

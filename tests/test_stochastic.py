@@ -91,11 +91,12 @@ def test_sample_moments():
     assert rel < 0.05
 
 
-def test_unit_epsilon_keeps_the_sample_stream():
+def test_unit_epsilon_keeps_the_sample_stream(monkeypatch):
     """At eps = 1 the draws are mu + L z bit for bit, chunk by chunk."""
     model = model2()
     assert model.epsilon == 1.0
-    draws = sample(model, 2500, seed=11, chunk=1000)
+    monkeypatch.setattr(stochastic, "SAMPLE_CHUNK", 1000)
+    draws = sample(model, 2500, seed=11)
     expected = []
     for k, n in enumerate((1000, 1000, 500)):
         rng = np.random.Generator(
@@ -125,11 +126,6 @@ def test_sample_count_validation():
 def test_seed_outside_the_philox_key_range_is_a_config_error(seed):
     with pytest.raises(ConfigError, match="seed"):
         sample(model2(), 10, seed)
-
-
-def test_zero_sample_chunk_is_a_config_error():
-    with pytest.raises(ConfigError, match="chunk"):
-        sample(model2(), 10, seed=1, chunk=0)
 
 
 # -- Monte Carlo over a decomposition --------------------------------------------
