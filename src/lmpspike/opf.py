@@ -8,10 +8,14 @@ The dispatch problem
          dispatch within [g_min, g_max]              (duals: saturation)
 
 is assembled as  min 1/2 g' H g + h' g  s.t.  A g <= b + E theta,  where the
-renewable injection theta enters only the right-hand side.  Row order is
-fixed: the balance equality written as two opposed inequalities, then upper
-and lower line limits, then upper and lower generator bounds -- so the row
-count is 2 + 2m + 2n_g and every row carries a semantic label.
+renewable injection theta enters only the right-hand side.  The row layout
+is fixed: rows 0 and 1 are the balance equality written as two opposed
+inequalities (row 0 is  1' g <= D - 1' theta  for total demand D), then,
+from row FIRST_INEQ, m line upper limits, m line lower limits, n_g unit
+upper bounds and n_g unit lower bounds: 2 + 2m + 2n_g rows.  FIRST_INEQ,
+`MPQPProblem.ineq_rows`, `MPQPProblem.row_bound` (the line or unit a row
+bounds, and its opposite-bound row) and `MPQPProblem.congestion` name its
+parts.
 
 Nodal prices decompose as  LMP = lambda * 1 + PTDF' mu  with mu the signed
 congestion dual (lower-limit dual minus upper-limit dual).
@@ -42,18 +46,7 @@ from .errors import (CaseError, InfeasibleError, NumericalError,
                      SingularActiveSetError)
 from .grid import GridCase, build_ptdf
 
-BALANCE_UP = "balance+"
-BALANCE_DOWN = "balance-"
-LINE_UPPER = "line-upper"
-LINE_LOWER = "line-lower"
-GEN_UPPER = "gen-upper"
-GEN_LOWER = "gen-lower"
-
-
-@dataclass(frozen=True)
-class RowLabel:
-    kind: str
-    index: int  # line or generator position; 0 for the balance rows
+FIRST_INEQ = 2  # the first line-limit row, after the two balance rows
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,6 @@ class MPQPProblem:
     A: np.ndarray                  # (2 + 2m + 2n_g) x n_g
     b: np.ndarray
     E: np.ndarray                  # (2 + 2m + 2n_g) x n_theta
-    row_labels: tuple[RowLabel, ...]
     case: GridCase
     ptdf: np.ndarray               # m x n
 
@@ -91,8 +83,26 @@ class MPQPProblem:
         """Row residuals A g - b - E theta: a row holds at <= 0, binds at 0."""
         return self.A @ g - self.b - self.E @ theta
 
-    def net_demand(self, theta: np.ndarray) -> float:
-        return self.case.total_demand() - float(np.sum(theta))
+    @property
+    def ineq_rows(self) -> range:
+        """The line-limit and unit-bound rows."""
+        return range(FIRST_INEQ, self.n_rows)
+
+    def row_bound(self, i: int) -> tuple[str, int, int]:
+        """(block, k, opposite): inequality row i bounds line k ("line") or
+        unit k ("gen"), and row `opposite` is k's other bound."""
+        if i < FIRST_INEQ + 2 * self.m:
+            block, first, size = "line", FIRST_INEQ, self.m
+        else:
+            block, first, size = "gen", FIRST_INEQ + 2 * self.m, self.n_g
+        k = (i - first) % size
+        return block, k, first + k + (size if i < first + size else 0)
+
+    def congestion(self, row_values: np.ndarray) -> np.ndarray:
+        """Signed congestion per line from values per row (along the first
+        axis): the lower-limit row's value minus the upper-limit row's."""
+        lower = FIRST_INEQ + self.m
+        return row_values[lower:lower + self.m] - row_values[FIRST_INEQ:lower]
 
 
 def assemble_mpqp(case: GridCase) -> MPQPProblem:
@@ -125,14 +135,7 @@ def assemble_mpqp(case: GridCase) -> MPQPProblem:
     ones_t = np.ones((1, n_t))
     E = np.vstack([-ones_t, ones_t, -ptdf_t, ptdf_t,
                    np.zeros((n_g, n_t)), np.zeros((n_g, n_t))])
-
-    labels = ([RowLabel(BALANCE_UP, 0), RowLabel(BALANCE_DOWN, 0)]
-              + [RowLabel(LINE_UPPER, k) for k in range(m)]
-              + [RowLabel(LINE_LOWER, k) for k in range(m)]
-              + [RowLabel(GEN_UPPER, k) for k in range(n_g)]
-              + [RowLabel(GEN_LOWER, k) for k in range(n_g)])
-    return MPQPProblem(H=H, h=h, A=A, b=b, E=E, row_labels=tuple(labels),
-                       case=case, ptdf=ptdf)
+    return MPQPProblem(H=H, h=h, A=A, b=b, E=E, case=case, ptdf=ptdf)
 
 
 @dataclass(frozen=True)
@@ -156,47 +159,35 @@ def parametric_kkt(problem: MPQPProblem, binding_ineq) -> ParametricKKT:
     """Solve the equality-constrained KKT system parametrically in theta.
 
     `binding_ineq` lists the binding inequality rows (standard-form indices
-    >= 2); the balance equality is always included with a free multiplier.
-    Raises SingularActiveSetError when the rows are linearly dependent, which
-    is exactly the constraint-qualification failure case.
+    >= FIRST_INEQ); the balance row 0 is always included with a free
+    multiplier, which is minus the energy price.  Raises
+    SingularActiveSetError when the rows are linearly dependent, which is
+    exactly the constraint-qualification failure case.
     """
     binding_ineq = tuple(sorted(int(i) for i in binding_ineq))
     for i in binding_ineq:
-        if i < 2 or i >= problem.n_rows:
+        if i not in problem.ineq_rows:
             raise ValueError(f"row {i} is not an inequality row")
-    n_g, n_t = problem.n_g, problem.n_theta
-    na = len(binding_ineq)
-    A_act = problem.A[list(binding_ineq)] if na else np.zeros((0, n_g))
-    E_act = problem.E[list(binding_ineq)] if na else np.zeros((0, n_t))
-    b_act = problem.b[list(binding_ineq)] if na else np.zeros(0)
-
-    size = n_g + 1 + na
-    K = np.zeros((size, size))
-    K[:n_g, :n_g] = problem.H
-    K[:n_g, n_g] = -1.0
-    K[n_g, :n_g] = 1.0
-    if na:
-        K[:n_g, n_g + 1:] = A_act.T
-        K[n_g + 1:, :n_g] = A_act
-    rhs = np.zeros((size, 1 + n_t))
+    n_g = problem.n_g
+    rows = [0, *binding_ineq]
+    K = qp.kkt_matrix(problem.H, problem.A[rows])
+    rhs = np.zeros((len(K), 1 + problem.n_theta))
     rhs[:n_g, 0] = -problem.h
-    rhs[n_g, 0] = problem.case.total_demand()
-    rhs[n_g, 1:] = -np.ones(n_t)
-    if na:
-        rhs[n_g + 1:, 0] = b_act
-        rhs[n_g + 1:, 1:] = E_act
+    rhs[n_g:, 0] = problem.b[rows]
+    rhs[n_g:, 1:] = problem.E[rows]
     try:
         X = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         raise SingularActiveSetError(
             f"KKT system singular for binding rows {binding_ineq}") from None
+    # checked here and not in qp's KKT solve, which runs at every QP step
     if not np.all(np.isfinite(X)) or \
             np.abs(K @ X - rhs).max() > 1e-6 * (1.0 + np.abs(rhs).max()):
         raise SingularActiveSetError(
             f"KKT system numerically singular for binding rows {binding_ineq}")
     return ParametricKKT(binding_ineq=binding_ineq,
                          g0=X[:n_g, 0], Gg=X[:n_g, 1:],
-                         lam0=float(X[n_g, 0]), lamT=X[n_g, 1:],
+                         lam0=-float(X[n_g, 0]), lamT=-X[n_g, 1:],
                          nu0=X[n_g + 1:, 0], NuT=X[n_g + 1:, 1:])
 
 
@@ -237,7 +228,7 @@ class OptimalPartition:
 
     @property
     def binding_ineq(self) -> tuple[int, ...]:
-        return tuple(i for i in self.binding if i >= 2)
+        return tuple(i for i in self.binding if i >= FIRST_INEQ)
 
     def __str__(self):
         return "{" + ",".join(str(i) for i in self.binding) + "}"
@@ -246,10 +237,7 @@ class OptimalPartition:
 def _split_binding(problem: MPQPProblem, binding_ineq) -> OptimalPartition:
     b_cong, b_sat = [], []
     for i in binding_ineq:
-        if problem.row_labels[i].kind in (LINE_UPPER, LINE_LOWER):
-            b_cong.append(i)
-        else:
-            b_sat.append(i)
+        (b_cong if problem.row_bound(i)[0] == "line" else b_sat).append(i)
     return OptimalPartition((0, *sorted(binding_ineq)), tuple(b_cong),
                             tuple(b_sat))
 
@@ -299,15 +287,13 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
         np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (problem.n_theta,):
         raise ValueError(f"theta must have length {problem.n_theta}")
-    D = problem.net_demand(theta)
-    # rows 0 and 1 encode the balance equality; feed it to the QP as one equality
-    A_in = problem.A[2:]
-    b_in = problem.b[2:] + problem.E[2:] @ theta
-
+    # rows 0 and 1 encode the balance; the QP takes row 0 as its one equality
+    A, b, E = problem.A, problem.b, problem.E
     try:
         res = qp.solve_qp(problem.H, problem.h,
-                          A_eq=np.ones((1, problem.n_g)), b_eq=[D],
-                          A_in=A_in, b_in=b_in)
+                          A_eq=A[:1], b_eq=b[:1] + E[:1] @ theta,
+                          A_in=A[FIRST_INEQ:],
+                          b_in=b[FIRST_INEQ:] + E[FIRST_INEQ:] @ theta)
     except InfeasibleError:
         raise InfeasibleError(
             "dispatch infeasible at theta="
@@ -315,8 +301,7 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
 
     g, resid = res.x, problem.residual(res.x, theta)
     tol = problem.act_tolerance()
-    binding_ineq = tuple(i for i in range(2, problem.n_rows)
-                         if resid[i] >= -tol[i])
+    binding_ineq = tuple(i for i in problem.ineq_rows if resid[i] >= -tol[i])
 
     degenerate = 1 + len(binding_ineq) > problem.n_g
     row_duals = None
@@ -334,14 +319,12 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
     if row_duals is None:
         # degenerate, singular or borderline: the QP's working-set multipliers
         lam = -float(res.eq_duals[0])
-        row_duals = _row_duals_from(
-            problem, lam, tuple(range(2, problem.n_rows)), res.ineq_duals)
+        row_duals = _row_duals_from(problem, lam, problem.ineq_rows,
+                                    res.ineq_duals)
 
-    m = problem.m
     return OPFSolution(theta=theta, g_star=g,
                        objective=float(0.5 * g @ problem.H @ g + problem.h @ g),
-                       lambda_energy=lam,
-                       mu=row_duals[2 + m:2 + 2 * m] - row_duals[2:2 + m],
+                       lambda_energy=lam, mu=problem.congestion(row_duals),
                        row_duals=row_duals, degenerate=degenerate,
                        kkt_residual=_kkt_residual(problem, g, resid,
                                                   row_duals))
@@ -349,7 +332,7 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
 
 def _kkt_residual(problem, g, primal, row_duals) -> float:
     stationarity = problem.H @ g + problem.h + problem.A.T @ row_duals
-    comp = row_duals[2:] * primal[2:]
+    comp = row_duals[FIRST_INEQ:] * primal[FIRST_INEQ:]
     parts = [np.abs(stationarity).max(), max(primal.max(), 0.0)]
     if comp.size:
         parts.append(np.abs(comp).max())
@@ -367,20 +350,13 @@ def compute_lmp(solution: OPFSolution, ptdf: np.ndarray) -> LMPVector:
 def lmp_map(problem: MPQPProblem, kkt: ParametricKKT):
     """Affine price map (C, c), LMP = C theta + c, of a binding set: the
     `compute_lmp` decomposition applied to the parametric duals."""
-    m, n_t = problem.m, problem.n_theta
     n = problem.case.n
-    mu0 = np.zeros(m)
-    MuT = np.zeros((m, n_t))
-    for k, i in enumerate(kkt.binding_ineq):
-        lab = problem.row_labels[i]
-        if lab.kind == LINE_UPPER:
-            mu0[lab.index] -= kkt.nu0[k]
-            MuT[lab.index] -= kkt.NuT[k]
-        elif lab.kind == LINE_LOWER:
-            mu0[lab.index] += kkt.nu0[k]
-            MuT[lab.index] += kkt.NuT[k]
-    C = np.outer(np.ones(n), kkt.lamT) + problem.ptdf.T @ MuT
-    c = kkt.lam0 * np.ones(n) + problem.ptdf.T @ mu0
+    nu = np.zeros((problem.n_rows, 1 + problem.n_theta))
+    # += turns a multiplier of -0.0 into +0.0
+    nu[list(kkt.binding_ineq)] += np.column_stack([kkt.nu0, kkt.NuT])
+    mu = problem.congestion(nu)
+    C = np.outer(np.ones(n), kkt.lamT) + problem.ptdf.T @ mu[:, 1:]
+    c = kkt.lam0 * np.ones(n) + problem.ptdf.T @ mu[:, 0]
     return C, c
 
 
@@ -389,8 +365,7 @@ def optimal_partition(solution: OPFSolution,
     """Rows binding at the optimum; the redundant second balance row is dropped."""
     tol = problem.act_tolerance()
     resid = problem.residual(solution.g_star, solution.theta)
-    binding_ineq = [i for i in range(2, problem.n_rows)
-                    if abs(resid[i]) <= tol[i]]
+    binding_ineq = [i for i in problem.ineq_rows if abs(resid[i]) <= tol[i]]
     part = _split_binding(problem, binding_ineq)
     _check_partition_consistency(problem, part)
     return part
@@ -398,17 +373,13 @@ def optimal_partition(solution: OPFSolution,
 
 def _check_partition_consistency(problem: MPQPProblem, part: OptimalPartition):
     """Opposite-side rows of one line or generator cannot both bind strictly."""
-    seen: dict[tuple[str, int], str] = {}
+    seen = set()
     for i in part.b_cong + part.b_sat:
-        lab = problem.row_labels[i]
-        entity = ("line" if lab.kind in (LINE_UPPER, LINE_LOWER) else "gen",
-                  lab.index)
-        side = "upper" if lab.kind in (LINE_UPPER, GEN_UPPER) else "lower"
-        if entity in seen and seen[entity] != side:
+        block, k, opposite = problem.row_bound(i)
+        if opposite in seen:
             # possible only when the interval collapses to a point; reject
-            raise NumericalError(
-                f"both bounds of {entity[0]} {entity[1]} are binding")
-        seen[entity] = side
+            raise NumericalError(f"both bounds of {block} {k} are binding")
+        seen.add(i)
 
 
 def licq_check(partition: OptimalPartition, n_g: int) -> bool:

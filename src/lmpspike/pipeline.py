@@ -58,6 +58,8 @@ class AnalysisConfig:
         explicit_band = self.alpha_minus is not None or self.alpha_plus is not None
         if self.err_rel is None:
             self.err_rel = [] if explicit_band else [0.25]
+        if isinstance(self.err_rel, str):
+            raise ConfigError("err_rel must be a number or a list of numbers")
         if isinstance(self.err_rel, (int, float)):
             self.err_rel = [float(self.err_rel)]
         self.err_rel = [float(e) for e in self.err_rel]
@@ -92,7 +94,7 @@ class AnalysisConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             return AnalysisConfig(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     @staticmethod
@@ -138,6 +140,9 @@ def build_study(config: AnalysisConfig) -> Study:
     case = load_case(config.case_path,
                      renewable_buses=config.renewable_buses or None,
                      reference_bus=config.reference_bus)
+    if case.n_theta == 0:
+        raise ConfigError("the study has no renewable buses; "
+                          "list them in renewable_buses")
     if not case.has_line_limits:
         case = derive_line_limits(case, config.gamma_line, config.lambda_safety)
     problem = assemble_mpqp(case)

@@ -69,18 +69,23 @@ def _as_2d(a, ncols):
     return a
 
 
-def _kkt_solve(H, N, top, bottom):
-    """Solve [H N'; N 0] [x; y] = [top; bottom]; column-stacked right-hand sides allowed."""
+def kkt_matrix(H, N):
+    """The KKT matrix [H N'; N 0] of min 1/2 x' H x + h' x s.t. N x = c."""
     n, k = H.shape[0], N.shape[0]
     K = np.zeros((n + k, n + k))
     K[:n, :n] = H
     K[:n, n:] = N.T
     K[n:, :n] = N
+    return K
+
+
+def _kkt_solve(H, N, top, bottom):
+    """Solve [H N'; N 0] [x; y] = [top; bottom]; column-stacked right-hand sides allowed."""
     try:
-        sol = np.linalg.solve(K, np.concatenate([top, bottom]))
+        sol = np.linalg.solve(kkt_matrix(H, N), np.concatenate([top, bottom]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular KKT system in active-set iteration") from exc
-    return sol[:n], sol[n:]
+    return sol[:len(H)], sol[len(H):]
 
 
 def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):

@@ -30,9 +30,10 @@ from scipy.spatial import cKDTree
 
 from . import lp
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
-from .opf import (MPQPProblem, OptimalPartition, _check_partition_consistency,
-                  _split_binding, dual_tolerance, kkt_point, licq_check,
-                  lmp_map, optimal_partition, parametric_kkt, solve_opf)
+from .opf import (FIRST_INEQ, MPQPProblem, OptimalPartition,
+                  _check_partition_consistency, _split_binding, dual_tolerance,
+                  kkt_point, licq_check, lmp_map, optimal_partition,
+                  parametric_kkt, solve_opf)
 from .polytope import FLAT_TOL, Polytope, box_polytope
 
 # facet step relative to the enumeration scale, and the cap on facet probes
@@ -97,7 +98,7 @@ def _region_polytope(problem: MPQPProblem, kkt, box: Polytope) -> Polytope:
     rows, rhs = [], []
     # row by row: one matrix product rounds differently, and the saved
     # region rows must not move
-    for i in range(2, problem.n_rows):
+    for i in problem.ineq_rows:
         if i not in kkt.binding_ineq:
             rows.append(problem.A[i] @ kkt.Gg - problem.E[i])
             rhs.append(problem.b[i] - problem.A[i] @ kkt.g0)
@@ -159,7 +160,7 @@ def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
     _, resid, _, nu = kkt_point(problem, _cached_kkt(problem, kkts, binding),
                                 theta)
     floor = 2.0 * dual_tolerance(nu)
-    joining = [i for i in range(2, problem.n_rows)
+    joining = [i for i in problem.ineq_rows
                if i not in binding and resid[i] > -tol[i]]
     leaving = {j for j, v in zip(binding, nu) if v <= floor}
     proposals = [(set(binding) | set(joining)) - leaving]
@@ -173,7 +174,7 @@ def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
             continue
         _, resid, _, nu = kkt_point(problem, kkt, theta)
         on = np.zeros(problem.n_rows, dtype=bool)
-        on[[0, 1, *rows]] = True
+        on[[*range(FIRST_INEQ), *rows]] = True
         if not (np.all(np.abs(resid[on]) <= 0.5 * tol[on])
                 and np.all(resid[~on] < -2.0 * tol[~on])
                 and np.all(nu > 2.0 * dual_tolerance(nu))):
@@ -232,8 +233,8 @@ def _joint_lps(problem: MPQPProblem, box: Polytope):
     b = np.concatenate([problem.b, box.w])
     bounds = [(None, None)] * n + [(0.0, None)]
     balance = np.append(A[0, :n], 0.0)[None]
-    sols = [lp.solve_lp(-e, A_ub=A[2:], b_ub=b[2:], A_eq=balance, b_eq=b[:1],
-                        bounds=bounds)
+    sols = [lp.solve_lp(-e, A_ub=A[FIRST_INEQ:], b_ub=b[FIRST_INEQ:],
+                        A_eq=balance, b_eq=b[:1], bounds=bounds)
             for e in np.eye(n + 1)[[n, *range(n_g, n)]]]
     if sols[0].status != lp.OPTIMAL or sols[0].x[n] <= FLAT_TOL:
         raise InfeasibleError("feasible parameter set is empty or "

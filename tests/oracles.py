@@ -133,8 +133,13 @@ def brute_opf(problem, theta, tol=1e-8):
     b_in = problem.b[2:] + problem.E[2:] @ theta
     return brute_qp(problem.H, problem.h,
                     A_eq=np.ones((1, problem.n_g)),
-                    b_eq=[problem.net_demand(theta)],
+                    b_eq=[net_demand(problem, theta)],
                     A_in=A_in, b_in=b_in, tol=tol)
+
+
+def net_demand(problem, theta):
+    """Total demand less the renewable injection: what the units must supply."""
+    return problem.case.total_demand() - float(np.sum(theta))
 
 
 def _candidate_subsets(problem):
@@ -195,13 +200,14 @@ def grid_partition_map(problem, thetas, tol=1e-7):
         better = feas & (obj < best_obj - 1e-12)
         if not better.any():
             continue
-        mu = np.zeros((better.sum(), problem.m))
+        m = problem.m
+        mu = np.zeros((better.sum(), m))
         for k, row in enumerate(subset):
-            lab = problem.row_labels[row]
-            if lab.kind == "line-upper":
-                mu[:, lab.index] -= nu[better, k]
-            elif lab.kind == "line-lower":
-                mu[:, lab.index] += nu[better, k]
+            # rows 2 .. 2 + m - 1 are line upper limits, the next m lower ones
+            if row < 2 + m:
+                mu[:, row - 2] -= nu[better, k]
+            elif row < 2 + 2 * m:
+                mu[:, row - 2 - m] += nu[better, k]
         best_obj[better] = obj[better]
         best_lmp[better] = lam[better, None] + mu @ ptdf_t.T
         best_g[better] = g[better]

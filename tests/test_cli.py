@@ -160,6 +160,31 @@ def test_bad_override_exits_2(toy_config, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("err_rel, message", [
+    ("0.25", "err_rel must be a number or a list of numbers"),
+    ("25", "err_rel must be a number or a list of numbers"),
+    (["x"], "could not convert string to float: 'x'"),
+], ids=["string", "digit-string", "non-numeric-entry"])
+def test_non_numeric_err_rel_exits_2(toy_config, capsys, err_rel, message):
+    """A string is not read character by character ("25" as [2.0, 5.0])."""
+    config_path, _ = toy_config
+    doc = json.loads(config_path.read_text())
+    doc["err_rel"] = err_rel
+    config_path.write_text(json.dumps(doc))
+    assert main(["rank", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_no_renewable_buses_exits_2(tmp_path, capsys):
+    """case14 with the default empty renewable_buses has no injection."""
+    config = {"case_path": str(case14_path()), "forecast_fraction": 0.5,
+              "q": 0.018, "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["regions", "--config", str(config_path)]) == 2
+    assert "no renewable buses" in capsys.readouterr().err
+
+
 def test_infeasible_forecast_exits_3(toy_config):
     config_path, _ = toy_config
     doc = json.loads(config_path.read_text())

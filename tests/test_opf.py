@@ -1,17 +1,21 @@
 """Dispatch problem assembly, solution, duals, partitions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lmpspike import (GridCase, Generator, InfeasibleError, Line,
-                      SingularActiveSetError, assemble_mpqp, compute_lmp,
-                      licq_check, locate_region, lp, optimal_partition, qp,
+                      NumericalError, SingularActiveSetError, assemble_mpqp,
+                      case14_path, compute_lmp, derive_line_limits, licq_check,
+                      load_case, locate_region, lp, optimal_partition, qp,
                       solve_opf)
 from lmpspike.grid import injections
-from lmpspike.opf import (GEN_LOWER, GEN_UPPER, LINE_LOWER, LINE_UPPER,
-                          OptimalPartition, parametric_kkt)
+from lmpspike.opf import (FIRST_INEQ, OptimalPartition,
+                          _check_partition_consistency, _split_binding,
+                          parametric_kkt)
 
-from oracles import brute_opf, phase1_point
+from oracles import brute_opf, net_demand, phase1_point
 
 
 def one_bus_two_units():
@@ -49,16 +53,75 @@ def test_generator_bound_rows_have_zero_parameter_block(toy2r):
     assert np.abs(problem.E[2 + 2 * m:]).max() == 0.0
 
 
-def test_row_labels_layout(toy_hand):
-    kinds = [lab.kind for lab in toy_hand.row_labels]
-    assert kinds == ["balance+", "balance-", LINE_UPPER, LINE_LOWER,
-                     GEN_UPPER, GEN_UPPER, GEN_LOWER, GEN_LOWER]
+def _case14_problem():
+    case = load_case(case14_path(), renewable_buses=[4, 5])
+    return assemble_mpqp(derive_line_limits(case, 2.0, 0.6))
+
+
+def _row_bound(problem, i):
+    """(block, k, upper) of inequality row i, from the layout stated in
+    `opf`: m line upper rows from row 2, m line lower rows, n_g unit upper
+    rows, n_g unit lower rows."""
+    m, n_g = problem.m, problem.n_g
+    if i < 2 + 2 * m:
+        return "line", (i - 2) % m, i < 2 + m
+    return "gen", (i - 2 - 2 * m) % n_g, i < 2 + 2 * m + n_g
+
+
+@pytest.mark.parametrize("name", ["toy_hand", "case14"])
+def test_row_layout(name, toy_hand):
+    problem = toy_hand if name == "toy_hand" else _case14_problem()
+    m, n_g, n_t = problem.m, problem.n_g, problem.n_theta
+    assert FIRST_INEQ == 2
+    assert problem.ineq_rows == range(2, 2 + 2 * m + 2 * n_g)
+    # row 0 is the balance  1' g <= D - 1' theta
+    assert np.array_equal(problem.A[0], np.ones(n_g))
+    assert problem.b[0] == problem.case.total_demand()
+    assert np.array_equal(problem.E[0], -np.ones(n_t))
+    # the blocks, by their content
+    ptdf_g = problem.ptdf[:, problem.case.gen_bus_indices]
+    blocks = np.split(problem.A[2:], np.cumsum([m, m, n_g]))
+    for block, expected in zip(blocks, [ptdf_g, -ptdf_g, np.eye(n_g),
+                                        -np.eye(n_g)]):
+        assert np.array_equal(block, expected)
+    for i in problem.ineq_rows:
+        block, k, upper = _row_bound(problem, i)
+        size = m if block == "line" else n_g
+        assert problem.row_bound(i) == (block, k, i + size if upper
+                                        else i - size)
+    values = np.arange(problem.n_rows, dtype=float)
+    assert np.array_equal(problem.congestion(values),
+                          values[2 + m:2 + 2 * m] - values[2:2 + m])
+
+
+def test_both_bounds_of_a_line_or_unit_cannot_bind():
+    """Every ordered pair of case14's inequality rows: opposite bounds of
+    one line or unit raise with the entity named; the split into line and
+    unit rows keeps the given order."""
+    problem = _case14_problem()
+    m, n_g = problem.m, problem.n_g
+    assert (m, n_g) == (20, 5)
+    conflicts = 0
+    for pair in itertools.permutations(range(2, problem.n_rows), 2):
+        part = _split_binding(problem, pair)
+        assert part.binding == (0, *sorted(pair))
+        assert part.b_cong == tuple(i for i in pair if i < 2 + 2 * m)
+        assert part.b_sat == tuple(i for i in pair if i >= 2 + 2 * m)
+        (block, k, upper), (block_2, k_2, upper_2) = \
+            (_row_bound(problem, i) for i in pair)
+        if (block, k) == (block_2, k_2) and upper != upper_2:
+            conflicts += 1
+            with pytest.raises(NumericalError) as err:
+                _check_partition_consistency(problem, part)
+            assert str(err.value) == f"both bounds of {block} {k} are binding"
+        else:
+            _check_partition_consistency(problem, part)
+    assert conflicts == 2 * (m + n_g)
 
 
 def test_case14_dimensions():
-    from lmpspike import case14_path, derive_line_limits, load_case
-    case = load_case(case14_path(), renewable_buses=[4, 5])
-    problem = assemble_mpqp(derive_line_limits(case, 2.0, 0.6))
+    problem = _case14_problem()
+    case = problem.case
     assert problem.A.shape == (2 + 40 + 2 * case.n_g, case.n_g)
     assert problem.E.shape == (problem.A.shape[0], 2)
 
@@ -116,7 +179,7 @@ def test_infeasible_theta_raises(toy2r):
 def _phase1_feasible(problem, theta):
     """The elastic phase-1 LP's verdict on the dispatch rows at theta."""
     try:
-        phase1_point(np.ones((1, problem.n_g)), np.array([problem.net_demand(theta)]),
+        phase1_point(np.ones((1, problem.n_g)), np.array([net_demand(problem, theta)]),
                      problem.A[2:], problem.b[2:] + problem.E[2:] @ theta)
     except InfeasibleError:
         return False
@@ -158,7 +221,7 @@ def test_qp_verdict_within_phase1_tolerance_of_theta_space_facets(toy_ring):
     for inside, outside in _facet_offsets(theta_space, 1e-8):
         for theta in (inside, outside):
             qp.solve_qp(problem.H, problem.h, A_eq=np.ones((1, problem.n_g)),
-                        b_eq=[problem.net_demand(theta)], A_in=problem.A[2:],
+                        b_eq=[net_demand(problem, theta)], A_in=problem.A[2:],
                         b_in=problem.b[2:] + problem.E[2:] @ theta)
             assert _phase1_feasible(problem, theta)
 
@@ -169,7 +232,6 @@ class _LPCalled(Exception):
 
 def test_dispatch_runs_no_lp(monkeypatch, toy_hand, toy2r, toy_ring):
     """No dispatch solve calls an LP, at degenerate points included."""
-    from lmpspike import case14_path, derive_line_limits, load_case
 
     def no_lp(*args, **kwargs):
         raise _LPCalled

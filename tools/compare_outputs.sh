@@ -6,9 +6,10 @@
 # REF's src/ is exported with `git archive` and the working tree's src/ is
 # copied (uncommitted edits included); the repository is only read.  Each
 # tree in turn is placed at the same temporary path and runs `lmpspike
-# regions`, `rank` and `mc` (seed 20240, 2*10^5 samples) on four case14
-# studies: n_theta 2 (renewables at buses 4, 5; forecast 0.5) and n_theta
-# 4, 6 and 7 (buses 4, 5, 9, 10, 13, 14, 12 truncated; forecast 0.3).  The
+# regions`, `rank`, `mc` (seed 20240, 2*10^5 samples) and `ptdf` on four
+# case14 studies: n_theta 2 (renewables at buses 4, 5; forecast 0.5) and
+# n_theta 4, 6 and 7 (buses 4, 5, 9, 10, 13, 14, 12 truncated; forecast
+# 0.3); `ptdf` writes ptdf.csv, the PTDF matrix behind A, b and E.  The
 # configs use relative paths, so resolved_config.json, the echoed paths and
 # any warning text compare too; each command's stdout, stderr and exit code
 # are kept beside its files.  Prints `diff -r` of the two output trees and
@@ -57,7 +58,7 @@ run_tree() {  # tree name; its src/ must already sit in $tmp/run
     local study cmd log start=$SECONDS
     for study in n2 n4 n6 n7; do
         mkdir -p "$tmp/run/out/$study"
-        for cmd in regions rank mc; do
+        for cmd in regions rank mc ptdf; do
             log="$tmp/run/out/$study/$cmd"
             (cd "$tmp/run" && PYTHONPATH=src python3 -m lmpspike.cli "$cmd" \
                 --config "configs/$study.json" >"$log.stdout" 2>"$log.stderr")
