@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: regions (decomposition export + summary), rank (decay-rate
-table), mc (Monte Carlo validation), ptdf (matrix dump).  All take a JSON
-config; a handful of flags override config keys.  Exit codes: 0 success,
+table), mc (Monte Carlo validation), ptdf (matrix dump, from the case
+alone: no regions are enumerated and no dispatch is solved).  All take a
+JSON config; a handful of flags override config keys.  Exit codes: 0 success,
 2 config or parse error, 3 infeasible model, 4 numerical failure.
 """
 
@@ -69,7 +70,10 @@ def main(argv=None) -> int:
     try:
         config = AnalysisConfig.from_json(args.config)
         config = _apply_overrides(config, args)
-        COMMANDS[args.command][1](build_study(config))
+        if args.command == "ptdf":
+            cmd_ptdf(config)
+        else:
+            COMMANDS[args.command][1](build_study(config))
     except (ConfigError, CaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,11 @@ from row FIRST_INEQ, m line upper limits, m line lower limits, n_g unit
 upper bounds and n_g unit lower bounds: 2 + 2m + 2n_g rows.  FIRST_INEQ,
 `MPQPProblem.ineq_rows`, `MPQPProblem.row_bound` (the line or unit a row
 bounds, and its opposite-bound row) and `MPQPProblem.congestion` name its
-parts.
+parts.  `assemble_mpqp` makes A, b, E, H and h read-only, and each problem
+keeps its `parametric_kkt` results (read-only too) keyed by the sorted
+binding rows, so a binding set is solved once per problem whoever asks for
+it: `solve_opf`, the facet steps of `regions`, or both.  A problem made anew
+or by `dataclasses.replace` starts with an empty cache.
 
 Nodal prices decompose as  LMP = lambda * 1 + PTDF' mu  with mu the signed
 congestion dual (lower-limit dual minus upper-limit dual).
@@ -37,7 +41,8 @@ side's [4, 10] here and [4, 4] from `locate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +63,10 @@ class MPQPProblem:
     E: np.ndarray                  # (2 + 2m + 2n_g) x n_theta
     case: GridCase
     ptdf: np.ndarray               # m x n
+    # parametric_kkt's result per sorted binding-row key, or the message of
+    # a singular set's SingularActiveSetError
+    _kkts: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_g(self) -> int:
@@ -75,9 +84,12 @@ class MPQPProblem:
     def m(self) -> int:
         return self.case.m
 
+    @cached_property
     def act_tolerance(self) -> np.ndarray:
         """Per-row binding tolerance, relative to the row right-hand side."""
-        return 1e-7 * (1.0 + np.abs(self.b))
+        tol = 1e-7 * (1.0 + np.abs(self.b))
+        tol.flags.writeable = False
+        return tol
 
     def residual(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Row residuals A g - b - E theta: a row holds at <= 0, binds at 0."""
@@ -87,6 +99,10 @@ class MPQPProblem:
     def ineq_rows(self) -> range:
         """The line-limit and unit-bound rows."""
         return range(FIRST_INEQ, self.n_rows)
+
+    def ineq_where(self, mask: np.ndarray) -> list[int]:
+        """The inequality rows, ascending, where a per-row mask holds."""
+        return (FIRST_INEQ + np.flatnonzero(mask[FIRST_INEQ:])).tolist()
 
     def row_bound(self, i: int) -> tuple[str, int, int]:
         """(block, k, opposite): inequality row i bounds line k ("line") or
@@ -135,6 +151,8 @@ def assemble_mpqp(case: GridCase) -> MPQPProblem:
     ones_t = np.ones((1, n_t))
     E = np.vstack([-ones_t, ones_t, -ptdf_t, ptdf_t,
                    np.zeros((n_g, n_t)), np.zeros((n_g, n_t))])
+    for array in (H, h, A, b, E):
+        array.flags.writeable = False
     return MPQPProblem(H=H, h=h, A=A, b=b, E=E, case=case, ptdf=ptdf)
 
 
@@ -159,12 +177,25 @@ def parametric_kkt(problem: MPQPProblem, binding_ineq) -> ParametricKKT:
     """Solve the equality-constrained KKT system parametrically in theta.
 
     `binding_ineq` lists the binding inequality rows (standard-form indices
-    >= FIRST_INEQ); the balance row 0 is always included with a free
-    multiplier, which is minus the energy price.  Raises
+    >= FIRST_INEQ) in any order; the balance row 0 is always included with
+    a free multiplier, which is minus the energy price.  Raises
     SingularActiveSetError when the rows are linearly dependent, which is
-    exactly the constraint-qualification failure case.
+    exactly the constraint-qualification failure case.  Each binding set is
+    solved once per problem: later calls return the same object, or raise
+    again for a singular set.
     """
-    binding_ineq = tuple(sorted(int(i) for i in binding_ineq))
+    key = tuple(sorted(int(i) for i in binding_ineq))
+    if key not in problem._kkts:
+        problem._kkts[key] = _solve_kkt(problem, key)
+    kkt = problem._kkts[key]
+    if isinstance(kkt, str):
+        raise SingularActiveSetError(kkt)
+    return kkt
+
+
+def _solve_kkt(problem: MPQPProblem, binding_ineq) -> ParametricKKT | str:
+    """`parametric_kkt` for sorted rows, uncached; a singular set's error
+    message in place of the solution."""
     for i in binding_ineq:
         if i not in problem.ineq_rows:
             raise ValueError(f"row {i} is not an inequality row")
@@ -178,16 +209,16 @@ def parametric_kkt(problem: MPQPProblem, binding_ineq) -> ParametricKKT:
     try:
         X = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
-        raise SingularActiveSetError(
-            f"KKT system singular for binding rows {binding_ineq}") from None
+        return f"KKT system singular for binding rows {binding_ineq}"
     # checked here and not in qp's KKT solve, which runs at every QP step
     if not np.all(np.isfinite(X)) or \
             np.abs(K @ X - rhs).max() > 1e-6 * (1.0 + np.abs(rhs).max()):
-        raise SingularActiveSetError(
-            f"KKT system numerically singular for binding rows {binding_ineq}")
+        return f"KKT system numerically singular for binding rows {binding_ineq}"
+    lamT = -X[n_g, 1:]
+    X.flags.writeable = lamT.flags.writeable = False
     return ParametricKKT(binding_ineq=binding_ineq,
                          g0=X[:n_g, 0], Gg=X[:n_g, 1:],
-                         lam0=-float(X[n_g, 0]), lamT=-X[n_g, 1:],
+                         lam0=-float(X[n_g, 0]), lamT=lamT,
                          nu0=X[n_g + 1:, 0], NuT=X[n_g + 1:, 1:])
 
 
@@ -300,8 +331,8 @@ def solve_opf(problem: MPQPProblem, theta=None) -> OPFSolution:
             + np.array2string(theta, precision=6)) from None
 
     g, resid = res.x, problem.residual(res.x, theta)
-    tol = problem.act_tolerance()
-    binding_ineq = tuple(i for i in problem.ineq_rows if resid[i] >= -tol[i])
+    tol = problem.act_tolerance
+    binding_ineq = problem.ineq_where(resid >= -tol)
 
     degenerate = 1 + len(binding_ineq) > problem.n_g
     row_duals = None
@@ -363,9 +394,8 @@ def lmp_map(problem: MPQPProblem, kkt: ParametricKKT):
 def optimal_partition(solution: OPFSolution,
                       problem: MPQPProblem) -> OptimalPartition:
     """Rows binding at the optimum; the redundant second balance row is dropped."""
-    tol = problem.act_tolerance()
     resid = problem.residual(solution.g_star, solution.theta)
-    binding_ineq = [i for i in problem.ineq_rows if abs(resid[i]) <= tol[i]]
+    binding_ineq = problem.ineq_where(np.abs(resid) <= problem.act_tolerance)
     part = _split_binding(problem, binding_ineq)
     _check_partition_consistency(problem, part)
     return part

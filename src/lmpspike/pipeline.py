@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridCase, derive_line_limits, load_case
+from .grid import GridCase, build_ptdf, derive_line_limits, load_case
 from .opf import MPQPProblem, assemble_mpqp, compute_lmp, solve_opf
 from .regions import RegionDecomposition, enumerate_regions, save_decomposition
 from .spikes import (GaussianModel, SpikeSpec, build_thresholds, decay_rates,
@@ -60,8 +61,12 @@ class AnalysisConfig:
             self.err_rel = [] if explicit_band else [0.25]
         if isinstance(self.err_rel, str):
             raise ConfigError("err_rel must be a number or a list of numbers")
-        if isinstance(self.err_rel, (int, float)):
-            self.err_rel = [float(self.err_rel)]
+        if isinstance(self.err_rel, numbers.Real):
+            self.err_rel = [self.err_rel]
+        for e in self.err_rel:
+            # bool is an int subclass: true would run as 1.0
+            if isinstance(e, bool) or not isinstance(e, numbers.Real):
+                raise ConfigError(f"err_rel entries must be numbers, not {e!r}")
         self.err_rel = [float(e) for e in self.err_rel]
         if explicit_band and (self.alpha_minus is None or self.alpha_plus is None):
             raise ConfigError("explicit bands need both alpha_minus and alpha_plus")
@@ -136,7 +141,8 @@ class Study:
         return [(e, f"err_rel_{e:g}") for e in self.config.err_rel]
 
 
-def build_study(config: AnalysisConfig) -> Study:
+def load_study_case(config: AnalysisConfig) -> GridCase:
+    """The config's case with its renewable buses and line limits set."""
     case = load_case(config.case_path,
                      renewable_buses=config.renewable_buses or None,
                      reference_bus=config.reference_bus)
@@ -145,6 +151,11 @@ def build_study(config: AnalysisConfig) -> Study:
                           "list them in renewable_buses")
     if not case.has_line_limits:
         case = derive_line_limits(case, config.gamma_line, config.lambda_safety)
+    return case
+
+
+def build_study(config: AnalysisConfig) -> Study:
+    case = load_study_case(config)
     problem = assemble_mpqp(case)
     hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
                                    for g in case.generators) + 1.0
@@ -258,13 +269,15 @@ def cmd_mc(study: Study, echo=print) -> list[Path]:
     return written
 
 
-def cmd_ptdf(study: Study, echo=print) -> Path:
-    out = _prepare_outdir(study.config)
+def cmd_ptdf(config: AnalysisConfig, echo=print) -> Path:
+    """Write the case's PTDF matrix; needs no study, so nothing is solved."""
+    case = load_study_case(config)
+    out = _prepare_outdir(config)
     path = out / "ptdf.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["line"] + [f"bus_{b}" for b in study.case.buses])
-        for ln, row in zip(study.case.lines, study.problem.ptdf):
+        writer.writerow(["line"] + [f"bus_{b}" for b in case.buses])
+        for ln, row in zip(case.lines, build_ptdf(case)):
             writer.writerow([f"{ln.from_bus}-{ln.to_bus}"]
                             + [repr(float(v)) for v in row])
     echo(f"wrote {path}")

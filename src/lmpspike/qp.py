@@ -14,7 +14,9 @@ when an active multiplier reaches zero first (that row leaves).  Every step
 re-solves the equality-constrained KKT system of the working set from
 scratch; at the sizes this package deals in (a handful of variables, tens
 of rows) a fresh dense solve is both faster and more predictable than
-factor updates.
+factor updates.  The equality rows are stacked over the inequality rows
+once per call, so a step takes its KKT rows and right-hand side with one
+index into the stacks.
 
 Infeasibility shows as an unbounded dual step: row p depends linearly on
 the working set and no active multiplier falls as t grows.  A row whose
@@ -88,36 +90,39 @@ def _kkt_solve(H, N, top, bottom):
     return sol[:len(H)], sol[len(H):]
 
 
-def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):
-    """Goldfarb-Idnani iteration over the inequality rows not in `skip`.
+def _dual_pass(H, h, A, B, ne, aside, feas_tol, max_iter):
+    """Goldfarb-Idnani iteration over the rows of A x <= B[:, 0] after the
+    first ne, which hold as equalities, except the rows set `aside`.
 
-    Returns (work, blocked, iterations): the sorted working set, and
-    `blocked` = (row, violation) when that row's dual step is unbounded
-    (None when no row is violated beyond feas_tol).
+    B's second column is zero, the working rows' part of a step's second
+    right-hand side.  Returns (work, blocked, iterations): the sorted
+    working set, the ne equality rows first, and `blocked` = (row,
+    violation) when that row's dual step is unbounded (None when no row is
+    violated beyond feas_tol).
     """
-    ne = A_eq.shape[0]
-    work: list[int] = []
-    x = _kkt_solve(H, A_eq, -h, b_eq)[0]
+    b = B[:, 0]
+    work = list(range(ne))
+    x = _kkt_solve(H, A[:ne], -h, b[:ne])[0]
+    top = np.empty((len(H), 2))  # [-h, -a_p] above each step's B rows
+    top[:, 0] = -h
     iterations = 0
     while True:
-        viol = A_in @ x - b_in
+        viol = A @ x - b
         viol[work] = -np.inf
-        viol[skip] = -np.inf
-        p = int(np.argmax(viol)) if viol.size else -1
+        if aside:
+            viol[aside] = -np.inf
+        p = int(viol.argmax()) if viol.size else -1
         if p < 0 or viol[p] <= feas_tol:
             return work, None, iterations
-        a_p, b_p = A_in[p], float(b_in[p])
-        top = np.column_stack([-h, -a_p])
+        a_p, b_p = A[p], float(b[p])
+        top[:, 1] = -a_p
         t = 0.0  # multiplier of row p
         while True:
             if iterations >= max_iter:
                 raise NumericalError(
                     f"active-set QP did not converge in {max_iter} iterations")
             iterations += 1
-            N = np.vstack([A_eq, A_in[work]])
-            bottom = np.zeros((N.shape[0], 2))
-            bottom[:, 0] = np.concatenate([b_eq, b_in[work]])
-            X, Y = _kkt_solve(H, N, top, bottom)
+            X, Y = _kkt_solve(H, A[work], top, B[work])
             dx = X[:, 1]
             at_0, slope = (a_p @ X).tolist()  # a_p' x at t = 0, and its rate
             violation = at_0 + t * slope - b_p
@@ -128,11 +133,11 @@ def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):
             curv = float(dx @ H @ dx)
             step = violation / -slope if 0.0 < -slope < 2.0 * curv else np.inf
             drop = -1
-            if work:
-                du = Y[ne:, 1].tolist()
-                u = (Y[ne:, 0] + t * Y[ne:, 1]).tolist()
+            if len(work) > ne:
+                u0, du = Y[ne:].T.tolist()
                 cut = -DROP_TOL * (1.0 + max(map(abs, du)))
-                for k, (u_k, du_k) in enumerate(zip(u, du)):
+                for k, (u0_k, du_k) in enumerate(zip(u0, du)):
+                    u_k = u0_k + t * du_k
                     # strict: of equal ratios the first, i.e. lowest row, drops
                     if du_k < cut and max(u_k, 0.0) / -du_k < step:
                         step, drop = max(u_k, 0.0) / -du_k, k
@@ -143,7 +148,7 @@ def _dual_pass(H, h, A_eq, b_eq, A_in, b_in, skip, feas_tol, max_iter):
                 x = X[:, 0] + t * dx
                 bisect.insort(work, p)
                 break
-            work.pop(drop)
+            work.pop(ne + drop)
 
 
 def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None) -> QPResult:
@@ -160,14 +165,18 @@ def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None) -> QPResult:
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
     A_in = _as_2d(A_in, n)
     b_in = np.zeros(0) if b_in is None else np.atleast_1d(np.asarray(b_in, dtype=float))
-    m = A_in.shape[0]
+    ne, m = A_eq.shape[0], A_in.shape[0]
     max_iter = 100 * (n + m + 1)
+    # equality rows over inequality rows; see _dual_pass for B
+    A = np.vstack([A_eq, A_in])
+    B = np.zeros((ne + m, 2))
+    B[:, 0] = np.concatenate([b_eq, b_in])
 
     scale = 1.0 + (np.abs(b_in).max() if m else 0.0)
-    aside = np.zeros(m, dtype=bool)
+    aside: list[int] = []
     iterations = 0
     while True:
-        work, blocked, its = _dual_pass(H, h, A_eq, b_eq, A_in, b_in, aside,
+        work, blocked, its = _dual_pass(H, h, A, B, ne, aside,
                                         FEAS_TOL * scale,
                                         max_iter - iterations)
         iterations += its
@@ -176,16 +185,15 @@ def solve_qp(H, h, A_eq=None, b_eq=None, A_in=None, b_in=None) -> QPResult:
         row, violation = blocked
         if violation > PHASE1_TOL * scale:
             raise InfeasibleError(
-                f"no feasible point (row {row} violated by {violation:.3e})")
-        aside[row] = True
+                f"no feasible point (row {row - ne} violated by {violation:.3e})")
+        aside.append(row)
 
-    x, y = _kkt_solve(H, np.vstack([A_eq, A_in[work]]), -h,
-                      np.concatenate([b_eq, b_in[work]]))
-    if aside.any() and (A_in[aside] @ x - b_in[aside]).max() > PHASE1_TOL * scale:
+    x, y = _kkt_solve(H, A[work], -h, B[work, 0])
+    if aside and (A[aside] @ x - B[aside, 0]).max() > PHASE1_TOL * scale:
         raise InfeasibleError("no feasible point (a set-aside row is violated)")
-    ne = A_eq.shape[0]
     ineq_duals = np.zeros(m)
-    ineq_duals[work] = np.maximum(y[ne:], 0.0)
+    working_set = [i - ne for i in work[ne:]]
+    ineq_duals[working_set] = np.maximum(y[ne:], 0.0)
     obj = 0.5 * x @ H @ x + h @ x
-    return QPResult(x, float(obj), y[:ne], ineq_duals, tuple(work),
+    return QPResult(x, float(obj), y[:ne], ineq_duals, tuple(working_set),
                     iterations=iterations)

@@ -6,14 +6,16 @@ binding set stays optimal.  This module enumerates all full-dimensional
 critical regions in a box by stepping across facets, and attaches the
 affine price/dispatch maps.  The regions tile the feasible parameter set,
 which is read off the facets past which no dispatch exists.  A facet step
-certifies the neighbour's binding set with one small KKT solve, or proves
-with a Farkas combination that no dispatch exists beyond the facet; only a
-step neither settles solves the dispatch problem, and those fallbacks are
-counted.  Point location (`locate`) is the one region lookup every caller
-uses, the Monte Carlo fast path included; it breaks ties lexicographically
-on the shared faces where the price map may jump.  Its `Locator`, built
-once per decomposition, settles a point that lies a certified margin inside
-one region by that region's rows alone and scans every closure only for the
+certifies the neighbour's binding set with its KKT solution, or proves with
+a Farkas combination that no dispatch exists beyond the facet; only a step
+neither settles solves the dispatch problem, and those fallbacks are
+counted.  KKT solutions come from `opf.parametric_kkt`, which solves each
+binding set once per problem for the enumeration and `solve_opf` alike.
+Point location (`locate`) is the one region lookup every caller uses, the
+Monte Carlo fast path included; it breaks ties lexicographically on the
+shared faces where the price map may jump.  Its `Locator`, built once per
+decomposition, settles a point that lies a certified margin inside one
+region by that region's rows alone and scans every closure only for the
 points near a boundary.
 """
 
@@ -107,10 +109,11 @@ def _region_polytope(problem: MPQPProblem, kkt, box: Polytope) -> Polytope:
 
 
 def _build_region(problem: MPQPProblem, partition: OptimalPartition,
-                  box: Polytope, min_radius: float, kkts: dict):
+                  box: Polytope, min_radius: float):
     """Construct the region for a partition; returns (region, reason)."""
-    kkt = _cached_kkt(problem, kkts, partition.binding_ineq)
-    if kkt is None:
+    try:
+        kkt = parametric_kkt(problem, partition.binding_ineq)
+    except SingularActiveSetError:
         return None, f"partition {partition}: singular KKT (rank deficient)"
     poly = _region_polytope(problem, kkt, box)
     if poly.is_empty():
@@ -128,19 +131,7 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
     return region, None
 
 
-def _cached_kkt(problem: MPQPProblem, kkts: dict, binding_ineq):
-    """`parametric_kkt` through a cache keyed by the sorted binding rows;
-    None for a singular binding set."""
-    key = tuple(sorted(binding_ineq))
-    if key not in kkts:
-        try:
-            kkts[key] = parametric_kkt(problem, key)
-        except SingularActiveSetError:
-            kkts[key] = None
-    return kkts[key]
-
-
-def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
+def _certified_crossing(problem: MPQPProblem, binding, theta):
     """Binding set at theta, read off the crossed facet without a solve.
 
     The current region's KKT point at theta proposes the neighbour: rows
@@ -156,12 +147,11 @@ def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
     partition and the nondegenerate verdict are what `_partition_at`
     returns.  None when no proposal passes.
     """
-    tol = problem.act_tolerance()
-    _, resid, _, nu = kkt_point(problem, _cached_kkt(problem, kkts, binding),
+    tol = problem.act_tolerance
+    _, resid, _, nu = kkt_point(problem, parametric_kkt(problem, binding),
                                 theta)
     floor = 2.0 * dual_tolerance(nu)
-    joining = [i for i in problem.ineq_rows
-               if i not in binding and resid[i] > -tol[i]]
+    joining = [i for i in problem.ineq_where(resid > -tol) if i not in binding]
     leaving = {j for j, v in zip(binding, nu) if v <= floor}
     proposals = [(set(binding) | set(joining)) - leaving]
     proposals += [set(binding) - {j} | {i} for i in joining for j in binding]
@@ -169,8 +159,9 @@ def _certified_crossing(problem: MPQPProblem, kkts: dict, binding, theta):
         rows = tuple(sorted(rows))
         if 1 + len(rows) > problem.n_g:
             continue
-        kkt = _cached_kkt(problem, kkts, rows)
-        if kkt is None:
+        try:
+            kkt = parametric_kkt(problem, rows)
+        except SingularActiveSetError:
             continue
         _, resid, _, nu = kkt_point(problem, kkt, theta)
         on = np.zeros(problem.n_rows, dtype=bool)
@@ -292,7 +283,6 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
 
     seen: dict[tuple[int, ...], CriticalRegion] = {}
     dead: set[tuple[int, ...]] = set()
-    kkts: dict = {}
     diagnostics: list[str] = []
     edges: list[np.ndarray] = []  # rows [G_i, w_i] with no dispatch past them
     queue: deque[OptimalPartition] = deque(
@@ -303,7 +293,7 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
         part = queue.popleft()
         if part.key in seen or part.key in dead:
             continue
-        region, reason = _build_region(problem, part, box, min_radius, kkts)
+        region, reason = _build_region(problem, part, box, min_radius)
         if region is None:
             dead.add(part.key)
             diagnostics.append(reason)
@@ -323,13 +313,13 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
                 cand = fp + eps * mult * normal
                 if not box.contains(cand, tol=1e-12):
                     break  # facet lies on the box
-                cand_part = _certified_crossing(problem, kkts,
-                                                part.binding_ineq, cand)
+                cand_part = _certified_crossing(problem, part.binding_ineq,
+                                                cand)
                 degen = False
                 if cand_part is not None:
                     certified += 1
                 elif _proves_infeasible(
-                        problem, _cached_kkt(problem, kkts, part.binding_ineq),
+                        problem, parametric_kkt(problem, part.binding_ineq),
                         cand):
                     boundary += 1
                     edges.append(np.append(normal, poly.w[i]))

@@ -218,7 +218,7 @@ def grid_partition_map(problem, thetas, tol=1e-7):
     if feasible.any():
         resid = (best_g[feasible] @ problem.A.T - problem.b
                  - thetas[feasible] @ problem.E.T)
-        act_tol = problem.act_tolerance()
+        act_tol = problem.act_tolerance
         binding = np.abs(resid) <= act_tol
         idx = np.where(feasible)[0]
         for row_i, i in enumerate(idx):
@@ -581,7 +581,7 @@ def solve_every_step_regions(problem, box_lo, box_hi, coverage_samples=20000):
         part = queue.pop(0)
         if part.key in seen or part.key in dead:
             continue
-        region, reason = _build_region(problem, part, box, min_radius, {})
+        region, reason = _build_region(problem, part, box, min_radius)
         if region is None:
             dead.add(part.key)
             diagnostics.append(reason)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lmpspike import case14_path
+from lmpspike import case14_path, pipeline
 from lmpspike.cli import main
 
 TOY_CASE = {
@@ -119,7 +119,13 @@ def test_mc_sweep_creates_subdirectories(toy_config):
     assert (tmp / "out" / "err_rel_0.5").is_dir()
 
 
-def test_ptdf_command(toy_config):
+def test_ptdf_command(toy_config, monkeypatch):
+    """The PTDF comes from the case alone: nothing is enumerated or solved."""
+    def fail(*args, **kwargs):
+        raise AssertionError("ptdf must not enumerate regions or solve")
+
+    monkeypatch.setattr(pipeline, "enumerate_regions", fail)
+    monkeypatch.setattr(pipeline, "solve_opf", fail)
     config_path, tmp = toy_config
     assert main(["ptdf", "--config", str(config_path)]) == 0
     text = (tmp / "out" / "ptdf.csv").read_text().strip().splitlines()
@@ -163,10 +169,14 @@ def test_bad_override_exits_2(toy_config, capsys, flags, message):
 @pytest.mark.parametrize("err_rel, message", [
     ("0.25", "err_rel must be a number or a list of numbers"),
     ("25", "err_rel must be a number or a list of numbers"),
-    (["x"], "could not convert string to float: 'x'"),
-], ids=["string", "digit-string", "non-numeric-entry"])
+    (["x"], "err_rel entries must be numbers, not 'x'"),
+    (["0.25"], "err_rel entries must be numbers, not '0.25'"),
+    ([True], "err_rel entries must be numbers, not True"),
+], ids=["string", "digit-string", "non-numeric-entry", "numeric-string-entry",
+        "boolean-entry"])
 def test_non_numeric_err_rel_exits_2(toy_config, capsys, err_rel, message):
-    """A string is not read character by character ("25" as [2.0, 5.0])."""
+    """A string is not read character by character ("25" as [2.0, 5.0]),
+    and neither a string nor a boolean entry is converted to a number."""
     config_path, _ = toy_config
     doc = json.loads(config_path.read_text())
     doc["err_rel"] = err_rel

@@ -1,5 +1,6 @@
 """Dispatch problem assembly, solution, duals, partitions."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -332,7 +333,16 @@ def test_price_equals_marginal_cost_of_demand(toy_ring):
         checked += 1
 
 
-def test_warm_start_is_bitwise_path_independent(toy_ring):
+def _solution_bytes(sol):
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                 for v in dataclasses.astuple(sol))
+
+
+def test_warm_start_is_bitwise_path_independent(toy_ring, study14):
+    """A solve depends on theta alone: not on earlier solves, and not on
+    the KKT solutions a region enumeration left in the problem's cache.
+    Seeded points and degenerate facet probes solve bit for bit alike on a
+    fresh problem and on the enumerated one."""
     problem, theta_space, _ = toy_ring
     theta = theta_space.chebyshev()[0]
     cold = solve_opf(problem, theta)
@@ -341,6 +351,34 @@ def test_warm_start_is_bitwise_path_independent(toy_ring):
     assert np.array_equal(cold.g_star, warm.g_star)
     assert cold.lambda_energy == warm.lambda_energy
     assert np.array_equal(cold.row_duals, warm.row_duals)
+
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for problem, decomp in ((toy_ring[0], toy_ring[2]),
+                            (study14.problem, study14.decomposition)):
+        space = decomp.theta_space
+        lo, hi = space.bounding_box()
+        points = [t for t in rng.uniform(lo, hi, size=(200, space.dim))
+                  if space.contains(t, tol=0.0)]
+        degenerate = 0
+        for region in decomp.regions:
+            poly = region.polytope.normalized()
+            for i in range(poly.n_rows):
+                point = poly.facet_point(i)
+                if point is not None:
+                    points += [point, point - 1e-8 * poly.G[i]]
+        fresh = assemble_mpqp(problem.case)
+        assert problem._kkts and not fresh._kkts
+        for theta in points:
+            try:
+                expected = _solution_bytes(solve_opf(fresh, theta))
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_opf(problem, theta)
+                continue
+            sol = solve_opf(problem, theta)
+            assert _solution_bytes(sol) == expected, theta
+            degenerate += sol.degenerate
+        assert len(points) > 100 and degenerate > 0
 
 
 # -- partitions and rank condition ---------------------------------------------
@@ -450,6 +488,29 @@ def test_licq_counting():
 
 
 def test_parametric_kkt_rejects_dependent_rows(toy_hand):
-    # upper and lower rows of one line are negatives: rank deficient
-    with pytest.raises(SingularActiveSetError):
-        parametric_kkt(toy_hand, (2, 3))
+    # upper and lower rows of one line are negatives: rank deficient, which
+    # the cache does not hide on a later call
+    for rows in ((2, 3), (3, 2), (2, 3)):
+        with pytest.raises(SingularActiveSetError):
+            parametric_kkt(toy_hand, rows)
+
+
+def test_parametric_kkt_is_solved_once_per_problem(study14):
+    """One cached, read-only solution per binding set, whatever the row
+    order; a new or replaced problem starts with an empty cache."""
+    problem = assemble_mpqp(study14.case)
+    assert not problem._kkts
+    rows = next(r.partition.binding_ineq for r in study14.decomposition.regions
+                if len(r.partition.binding_ineq) >= 2)
+    kkt = parametric_kkt(problem, rows[::-1])
+    assert kkt.binding_ineq == rows
+    assert parametric_kkt(problem, list(rows)) is kkt
+    assert list(problem._kkts) == [rows]
+    arrays = [problem.H, problem.h, problem.A, problem.b, problem.E,
+              problem.act_tolerance, kkt.g0, kkt.Gg, kkt.lamT, kkt.nu0,
+              kkt.NuT]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    assert not dataclasses.replace(problem)._kkts

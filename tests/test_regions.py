@@ -217,7 +217,7 @@ def test_certified_crossing_equals_a_solve(any_system, seed):
                              fp + step * scale * poly.G[i] + jitter):
                     if not theta_space.contains(cand, tol=1e-12):
                         continue
-                    part = _certified_crossing(problem, {}, binding, cand)
+                    part = _certified_crossing(problem, binding, cand)
                     if part is None:
                         continue
                     certified += 1
@@ -402,7 +402,7 @@ def test_build_region_rejection_reasons(toy2r):
 
     def reason(rows, min_radius=1e-9):
         region, why = _build_region(problem, _split_binding(problem, rows),
-                                    box, min_radius, {})
+                                    box, min_radius)
         assert region is None
         return why
 
@@ -415,7 +415,7 @@ def test_build_region_rejection_reasons(toy2r):
                                             "lower-dimensional region "
                                             "(radius 3.00e+00)")
     region, why = _build_region(problem, _split_binding(problem, (2,)), box,
-                                1e-9, {})
+                                1e-9)
     assert why is None and region.partition.key == (0, 2)
 
 
