@@ -13,13 +13,14 @@ is fixed: rows 0 and 1 are the balance equality written as two opposed
 inequalities (row 0 is  1' g <= D - 1' theta  for total demand D), then,
 from row FIRST_INEQ, m line upper limits, m line lower limits, n_g unit
 upper bounds and n_g unit lower bounds: 2 + 2m + 2n_g rows.  FIRST_INEQ,
-`MPQPProblem.ineq_rows`, `MPQPProblem.row_bound` (the line or unit a row
-bounds, and its opposite-bound row) and `MPQPProblem.congestion` name its
-parts.  `assemble_mpqp` makes A, b, E, H and h read-only, and each problem
-keeps its `parametric_kkt` results (read-only too) keyed by the sorted
-binding rows, so a binding set is solved once per problem whoever asks for
-it: `solve_opf`, the facet steps of `regions`, or both.  A problem made anew
-or by `dataclasses.replace` starts with an empty cache.
+`MPQPProblem.ineq_rows`, `MPQPProblem.unit_rows`, `MPQPProblem.row_bound`
+(the line or unit a row bounds, and its opposite-bound row) and
+`MPQPProblem.congestion` name its parts.  `assemble_mpqp` makes A, b, E, H
+and h read-only, and each problem keeps its `parametric_kkt` results
+(read-only too) keyed by the sorted binding rows, so a binding set is
+solved once per problem whoever asks for it: `solve_opf`, or the verdicts
+on a facet step of `regions` (`certified_partition`, `proves_infeasible`).
+A problem made anew or by `dataclasses.replace` starts with an empty cache.
 
 Nodal prices decompose as  LMP = lambda * 1 + PTDF' mu  with mu the signed
 congestion dual (lower-limit dual minus upper-limit dual).
@@ -100,6 +101,11 @@ class MPQPProblem:
         """The line-limit and unit-bound rows."""
         return range(FIRST_INEQ, self.n_rows)
 
+    @property
+    def unit_rows(self) -> range:
+        """The unit-bound rows: g <= g_max, then -g <= -g_min."""
+        return range(FIRST_INEQ + 2 * self.m, self.n_rows)
+
     def ineq_where(self, mask: np.ndarray) -> list[int]:
         """The inequality rows, ascending, where a per-row mask holds."""
         return (FIRST_INEQ + np.flatnonzero(mask[FIRST_INEQ:])).tolist()
@@ -107,10 +113,10 @@ class MPQPProblem:
     def row_bound(self, i: int) -> tuple[str, int, int]:
         """(block, k, opposite): inequality row i bounds line k ("line") or
         unit k ("gen"), and row `opposite` is k's other bound."""
-        if i < FIRST_INEQ + 2 * self.m:
+        if i < self.unit_rows.start:
             block, first, size = "line", FIRST_INEQ, self.m
         else:
-            block, first, size = "gen", FIRST_INEQ + 2 * self.m, self.n_g
+            block, first, size = "gen", self.unit_rows.start, self.n_g
         k = (i - first) % size
         return block, k, first + k + (size if i < first + size else 0)
 
@@ -288,8 +294,7 @@ def _row_duals_from(problem: MPQPProblem, lam: float, binding_ineq,
 
 def kkt_point(problem: MPQPProblem, kkt: ParametricKKT, theta):
     """A binding set's KKT solution at theta: (dispatch g, row residuals,
-    energy price lambda, binding-row multipliers nu).  The one evaluation
-    that `solve_opf` and the facet certificates of `regions` share."""
+    energy price lambda, binding-row multipliers nu)."""
     g = kkt.g0 + kkt.Gg @ theta
     return (g, problem.residual(g, theta), kkt.lam0 + float(kkt.lamT @ theta),
             kkt.nu0 + kkt.NuT @ theta)
@@ -415,3 +420,74 @@ def _check_partition_consistency(problem: MPQPProblem, part: OptimalPartition):
 def licq_check(partition: OptimalPartition, n_g: int) -> bool:
     """Constraint qualification as a counting condition on the binding set."""
     return 1 + len(partition.b_sat) + len(partition.b_cong) <= n_g
+
+
+def certified_partition(problem: MPQPProblem, binding,
+                        theta) -> OptimalPartition | None:
+    """Binding set at theta, read off KKT points without a solve.
+
+    The KKT point at theta of a nearby set `binding` proposes the set: rows
+    that turn active join, binding rows whose multiplier is at most twice
+    the `dual_tolerance` leave; failing that, every swap of one joining row
+    for one binding row is tried (a facet where one row replaces another).
+    A proposal S passes when its own KKT point at theta has every row off S
+    feasible by more than twice the binding tolerance, every row of S (and
+    the balance) within half of it, and every multiplier above twice the
+    `dual_tolerance` that `solve_opf` grants a negative one.  H is positive
+    definite, so that point is the unique optimum, and a solve at theta
+    finds exactly these binding rows on its canonical path: the result is
+    that solve's `optimal_partition`, nondegenerate.  Both bounds of one
+    line or unit never pass: their rows are exact negations, so
+    `parametric_kkt` raises.  None when no proposal passes.
+    """
+    tol = problem.act_tolerance
+    _, resid, _, nu = kkt_point(problem, parametric_kkt(problem, binding),
+                                theta)
+    floor = 2.0 * dual_tolerance(nu)
+    joining = [i for i in problem.ineq_where(resid > -tol) if i not in binding]
+    leaving = {j for j, v in zip(binding, nu) if v <= floor}
+    proposals = [(set(binding) | set(joining)) - leaving]
+    proposals += [set(binding) - {j} | {i} for i in joining for j in binding]
+    for rows in proposals:
+        rows = tuple(sorted(rows))
+        if 1 + len(rows) > problem.n_g:
+            continue
+        try:
+            kkt = parametric_kkt(problem, rows)
+        except SingularActiveSetError:
+            continue
+        _, resid, _, nu = kkt_point(problem, kkt, theta)
+        on = np.zeros(problem.n_rows, dtype=bool)
+        on[[*range(FIRST_INEQ), *rows]] = True
+        if (np.all(np.abs(resid[on]) <= 0.5 * tol[on])
+                and np.all(resid[~on] < -2.0 * tol[~on])
+                and np.all(nu > 2.0 * dual_tolerance(nu))):
+            return _split_binding(problem, rows)
+    return None
+
+
+def proves_infeasible(problem: MPQPProblem, kkt: ParametricKKT,
+                      theta) -> bool:
+    """Whether the binding rows prove that no dispatch is feasible at theta.
+
+    Farkas: if a row r violated by the KKT dispatch g = g_S(theta) is a_r =
+    c_0 1' + sum_j c_j a_j over the binding rows j with every c_j <= 0, any
+    g' that balances and meets the binding rows has a_r g' >= a_r g > b_r +
+    e_r theta.  Rounding (the representation residual rho, positive c_j that
+    should be 0, the balance and binding residuals s of g) can lower a_r g'
+    by at most |rho| |g' - g| + sum_j max(c_j, 0) |a_j| |g' - g| + |c| |s|
+    over the unit bounds, so r must be violated by more than that.
+    """
+    g, resid, _, _ = kkt_point(problem, kkt, theta)
+    g_max, neg_g_min = np.split(problem.b[problem.unit_rows], 2)
+    reach = np.maximum(g_max - g, g + neg_g_min)
+    rows = [0, *kkt.binding_ineq]
+    basis = problem.A[rows].T
+    for r in np.flatnonzero(resid > 0.0):
+        c = np.linalg.lstsq(basis, problem.A[r], rcond=None)[0]
+        err = (np.abs(basis @ c - problem.A[r]) @ reach
+               + np.maximum(c[1:], 0.0) @ (np.abs(basis[:, 1:].T) @ reach)
+               + np.abs(c) @ np.abs(resid[rows]))
+        if resid[r] > err:
+            return True
+    return False

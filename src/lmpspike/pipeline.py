@@ -32,6 +32,12 @@ from .stochastic import (CovarianceSpec, build_covariance, compare_ranking,
                          write_mc_csv)
 
 
+def _number(value, kind=numbers.Real) -> bool:
+    """Whether a config value is a number of `kind`; bool is an int
+    subclass, but true must not run as 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class AnalysisConfig:
     case_path: str
@@ -56,6 +62,20 @@ class AnalysisConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("gamma_line", "lambda_safety", "forecast_fraction", "q",
+                     "kappa", "tau_squared", "epsilon", "mc_n_samples",
+                     "mc_seed", "mc_bins"):
+            value = getattr(self, name)
+            if value is None and name in ("forecast_fraction", "q"):
+                continue
+            integral = name.startswith("mc_")
+            if not _number(value, numbers.Integral if integral
+                           else numbers.Real):
+                kind = "an integer" if integral else "a number"
+                raise ConfigError(f"{name} must be {kind}, not {value!r}")
+        if not 0 <= self.mc_seed < 2 ** 64:
+            raise ConfigError("mc_seed must be in [0, 2^64), "
+                              f"got {self.mc_seed}")
         explicit_band = self.alpha_minus is not None or self.alpha_plus is not None
         if self.err_rel is None:
             self.err_rel = [] if explicit_band else [0.25]
@@ -64,8 +84,7 @@ class AnalysisConfig:
         if isinstance(self.err_rel, numbers.Real):
             self.err_rel = [self.err_rel]
         for e in self.err_rel:
-            # bool is an int subclass: true would run as 1.0
-            if isinstance(e, bool) or not isinstance(e, numbers.Real):
+            if not _number(e):
                 raise ConfigError(f"err_rel entries must be numbers, not {e!r}")
         self.err_rel = [float(e) for e in self.err_rel]
         if explicit_band and (self.alpha_minus is None or self.alpha_plus is None):

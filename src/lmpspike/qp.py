@@ -27,7 +27,10 @@ raised.
 
 Once no row is violated beyond FEAS_TOL * (1 + max|b_in|), point and
 multipliers are re-derived from one KKT solve on the sorted final working
-set, so they depend only on that set and not on the path taken to it.  The
+set, so they depend only on that set and not on the path taken to it.
+FEAS_TOL is 1e-12: with 1e-9 the iteration could stop on a neighbouring
+critical region's working set, so a dispatch solve 1e-8 (relative) inside a
+region of the case14 studies returned the neighbour's price.  The
 final working set and its Lagrange multipliers are returned with the point;
 `opf.solve_opf` reads the binding set off the point's residuals and takes
 these multipliers only where its own canonical KKT duals do not apply.
@@ -43,7 +46,7 @@ import numpy as np
 from .errors import InfeasibleError, NumericalError
 
 # violation (relative to 1 + max|b_in|) up to which a row counts as satisfied
-FEAS_TOL = 1e-9
+FEAS_TOL = 1e-12
 # violation (relative to 1 + max|b_in|) up to which a row that cannot be added
 # counts as satisfied: the feasibility verdict of an elastic phase-1 LP with
 # this slack tolerance (tests/oracles.phase1_point)

@@ -5,15 +5,14 @@ dispatch, duals and nodal prices are affine on the polytope where that
 binding set stays optimal.  This module enumerates all full-dimensional
 critical regions in a box by stepping across facets, and attaches the
 affine price/dispatch maps.  The regions tile the feasible parameter set,
-which is read off the facets past which no dispatch exists.  A facet step
-certifies the neighbour's binding set with its KKT solution, or proves with
-a Farkas combination that no dispatch exists beyond the facet; only a step
-neither settles solves the dispatch problem, and those fallbacks are
-counted.  KKT solutions come from `opf.parametric_kkt`, which solves each
-binding set once per problem for the enumeration and `solve_opf` alike.
-Point location (`locate`) is the one region lookup every caller uses, the
-Monte Carlo fast path included; it breaks ties lexicographically on the
-shared faces where the price map may jump.  Its `Locator`, built once per
+which is read off the facets past which no dispatch exists.  Past a facet,
+`opf.certified_partition` names the neighbour's binding set, or
+`opf.proves_infeasible` proves that no dispatch exists; only a step neither
+settles solves the dispatch problem, and those fallbacks are counted.  The
+dispatch problem is read only through `opf`'s public names.  Point location
+(`locate`) is the one region lookup every caller uses, the Monte Carlo
+fast path included; it breaks ties lexicographically on the shared faces
+where the price map may jump.  Its `Locator`, built once per
 decomposition, settles a point that lies a certified margin inside one
 region by that region's rows alone and scans every closure only for the
 points near a boundary.
@@ -33,14 +32,15 @@ from scipy.spatial import cKDTree
 from . import lp
 from .errors import InfeasibleError, NumericalError, SingularActiveSetError
 from .opf import (FIRST_INEQ, MPQPProblem, OptimalPartition,
-                  _check_partition_consistency, _split_binding, dual_tolerance,
-                  kkt_point, licq_check, lmp_map, optimal_partition,
-                  parametric_kkt, solve_opf)
+                  certified_partition, licq_check, lmp_map, optimal_partition,
+                  parametric_kkt, proves_infeasible, solve_opf)
 from .polytope import FLAT_TOL, Polytope, box_polytope
 
 # facet step relative to the enumeration scale, and the cap on facet probes
 STEP_REL = 1e-6
 MAX_EXPANSIONS = 10 ** 6
+# uniform points of the parameter set behind `coverage_volume_ratio`
+COVERAGE_SAMPLES = 20000
 # points per product of the full scan in `Locator`, and the pilot size; the
 # product holds every row of every region for each point, so it stays small
 LOCATE_CHUNK = 1024
@@ -73,8 +73,8 @@ class RegionDecomposition:
     theta_space: Polytope
     coverage_volume_ratio: float = float("nan")
     degenerate_diagnostics: list[str] = field(default_factory=list)
-    # facet steps settled by `_certified_crossing`, proved to leave the
-    # parameter set by `_proves_infeasible`, and those that fell back to a
+    # facet steps settled by `certified_partition`, proved to leave the
+    # parameter set by `proves_infeasible`, and those that fell back to a
     # dispatch solve; run statistics, not part of the saved file
     certified_crossings: int = 0
     boundary_steps: int = 0
@@ -131,84 +131,9 @@ def _build_region(problem: MPQPProblem, partition: OptimalPartition,
     return region, None
 
 
-def _certified_crossing(problem: MPQPProblem, binding, theta):
-    """Binding set at theta, read off the crossed facet without a solve.
-
-    The current region's KKT point at theta proposes the neighbour: rows
-    that turn active join, binding rows whose multiplier is at most twice
-    the `dual_tolerance` leave; failing that, every swap of one joining row
-    for one binding row is tried (a facet where one row replaces another).
-    A proposal S passes when its own KKT point at theta has every row off S
-    feasible by more than twice the binding tolerance, every row of S (and
-    the balance) within half of it, and every multiplier above twice the
-    `dual_tolerance` that `solve_opf` grants a negative one.  H is positive
-    definite, so that point is the unique optimum, and a solve at theta
-    finds exactly these binding rows on its canonical path: the returned
-    partition and the nondegenerate verdict are what `_partition_at`
-    returns.  None when no proposal passes.
-    """
-    tol = problem.act_tolerance
-    _, resid, _, nu = kkt_point(problem, parametric_kkt(problem, binding),
-                                theta)
-    floor = 2.0 * dual_tolerance(nu)
-    joining = [i for i in problem.ineq_where(resid > -tol) if i not in binding]
-    leaving = {j for j, v in zip(binding, nu) if v <= floor}
-    proposals = [(set(binding) | set(joining)) - leaving]
-    proposals += [set(binding) - {j} | {i} for i in joining for j in binding]
-    for rows in proposals:
-        rows = tuple(sorted(rows))
-        if 1 + len(rows) > problem.n_g:
-            continue
-        try:
-            kkt = parametric_kkt(problem, rows)
-        except SingularActiveSetError:
-            continue
-        _, resid, _, nu = kkt_point(problem, kkt, theta)
-        on = np.zeros(problem.n_rows, dtype=bool)
-        on[[*range(FIRST_INEQ), *rows]] = True
-        if not (np.all(np.abs(resid[on]) <= 0.5 * tol[on])
-                and np.all(resid[~on] < -2.0 * tol[~on])
-                and np.all(nu > 2.0 * dual_tolerance(nu))):
-            continue
-        part = _split_binding(problem, rows)
-        try:
-            _check_partition_consistency(problem, part)
-        except NumericalError:
-            continue
-        return part
-    return None
-
-
 def _partition_at(problem: MPQPProblem, theta):
     sol = solve_opf(problem, theta)
     return optimal_partition(sol, problem), sol.degenerate
-
-
-def _proves_infeasible(problem: MPQPProblem, kkt, theta) -> bool:
-    """Whether the binding rows prove that no dispatch is feasible at theta.
-
-    Farkas: if a row r violated by the KKT dispatch g = g_S(theta) is a_r =
-    c_0 1' + sum_j c_j a_j over the binding rows j with every c_j <= 0, any
-    g' that balances and meets the binding rows has a_r g' >= a_r g > b_r +
-    e_r theta.  Rounding (the representation residual rho, positive c_j that
-    should be 0, the balance and binding residuals s of g) can lower a_r g'
-    by at most |rho| |g' - g| + sum_j max(c_j, 0) |a_j| |g' - g| + |c| |s|
-    over the unit bounds, so r must be violated by more than that.
-    """
-    g, resid, _, _ = kkt_point(problem, kkt, theta)
-    n_g = problem.n_g
-    # the last 2 n_g rows are the unit bounds g <= g_max and -g <= -g_min
-    reach = np.maximum(problem.b[-2 * n_g:-n_g] - g, g + problem.b[-n_g:])
-    rows = [0, *kkt.binding_ineq]
-    basis = problem.A[rows].T
-    for r in np.flatnonzero(resid > 0.0):
-        c = np.linalg.lstsq(basis, problem.A[r], rcond=None)[0]
-        err = (np.abs(basis @ c - problem.A[r]) @ reach
-               + np.maximum(c[1:], 0.0) @ (np.abs(basis[:, 1:].T) @ reach)
-               + np.abs(c) @ np.abs(resid[rows]))
-        if resid[r] > err:
-            return True
-    return False
 
 
 def _joint_lps(problem: MPQPProblem, box: Polytope):
@@ -251,8 +176,8 @@ def _seed_partition(problem, center, lo, top):
     raise NumericalError("could not find a nondegenerate seed point")
 
 
-def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
-                      coverage_samples: int = 20000) -> RegionDecomposition:
+def enumerate_regions(problem: MPQPProblem, box_lo,
+                      box_hi) -> RegionDecomposition:
     """Critical regions in the box and the parameter set they tile.
 
     Starting from the region that holds the seed of `_joint_lps`, every
@@ -260,9 +185,9 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
     (half the smallest width of [box_lo, axis maxima], at least 1) beyond
     its hyperplane; a step that leaves the box stops there.  Otherwise the
     current region's KKT point proposes the neighbouring binding set and the
-    proposal's own KKT point certifies it (`_certified_crossing`), or the
-    current binding rows prove that no dispatch exists there
-    (`_proves_infeasible`).  A step neither settles (a degenerate face, an
+    proposal's own KKT point certifies it (`opf.certified_partition`), or
+    the current binding rows prove that no dispatch exists there
+    (`opf.proves_infeasible`).  A step neither settles (a degenerate face, an
     LICQ failure, a neighbour that is not one row away) falls back to
     solving the dispatch problem; the three cases are counted on the result
     (`certified_crossings`, `boundary_steps`, `fallback_solves`).  A
@@ -313,12 +238,12 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
                 cand = fp + eps * mult * normal
                 if not box.contains(cand, tol=1e-12):
                     break  # facet lies on the box
-                cand_part = _certified_crossing(problem, part.binding_ineq,
+                cand_part = certified_partition(problem, part.binding_ineq,
                                                 cand)
                 degen = False
                 if cand_part is not None:
                     certified += 1
-                elif _proves_infeasible(
+                elif proves_infeasible(
                         problem, parametric_kkt(problem, part.binding_ineq),
                         cand):
                     boundary += 1
@@ -338,8 +263,7 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
                     continue  # landed on a face; push farther
                 if cand_part.key == part.key:
                     continue
-                if cand_part.key not in seen and cand_part.key not in dead:
-                    queue.append(cand_part)
+                queue.append(cand_part)
                 break
 
     regions = [replace(seen[k], id=i) for i, k in enumerate(sorted(seen))]
@@ -349,7 +273,7 @@ def enumerate_regions(problem: MPQPProblem, box_lo, box_hi,
                                  certified_crossings=certified,
                                  boundary_steps=boundary,
                                  fallback_solves=fallback)
-    decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
+    decomp.coverage_volume_ratio = estimate_coverage(decomp)
     return decomp
 
 
@@ -372,25 +296,22 @@ def _parameter_set(edges, box: Polytope, regions) -> Polytope:
     return space
 
 
-def estimate_coverage(decomp: RegionDecomposition,
-                      n_samples: int = 20000) -> float:
-    """Fraction of uniform samples of the parameter set covered by a region."""
-    if n_samples <= 0 or decomp.theta_space.n_rows == 0:
-        return float("nan")
-    lo, hi = decomp.theta_space.bounding_box()
+def estimate_coverage(decomp: RegionDecomposition) -> float:
+    """Fraction of `COVERAGE_SAMPLES` uniform samples of the parameter set
+    covered by a region."""
+    space = decomp.theta_space
+    lo, hi = space.bounding_box()
     rng = np.random.Generator(np.random.Philox(key=0))
     batches = []
     inside = 0
-    batch = 4096
-    while inside < n_samples:
-        pts = rng.uniform(lo, hi, size=(batch, decomp.theta_space.dim))
-        mask = np.all(pts @ decomp.theta_space.G.T
-                      <= decomp.theta_space.w + 1e-12, axis=1)
-        pts = pts[mask][:n_samples - inside]
+    while inside < COVERAGE_SAMPLES:
+        pts = rng.uniform(lo, hi, size=(4096, space.dim))
+        mask = np.all(pts @ space.G.T <= space.w + 1e-12, axis=1)
+        pts = pts[mask][:COVERAGE_SAMPLES - inside]
         inside += pts.shape[0]
         batches.append(pts)
     covered = np.count_nonzero(locate(decomp, np.vstack(batches)) >= 0)
-    return covered / n_samples
+    return covered / COVERAGE_SAMPLES
 
 
 def locate(decomp: RegionDecomposition, thetas) -> np.ndarray:

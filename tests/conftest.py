@@ -47,7 +47,7 @@ def toy2r():
         loads=np.array([0.0, 10.0]),
         renewable_buses=(2,), reference_bus=1)
     problem = assemble_mpqp(case)
-    decomp = enumerate_regions(problem, [0.0], [25.0], coverage_samples=2000)
+    decomp = enumerate_regions(problem, [0.0], [25.0])
     return problem, decomp.theta_space, decomp
 
 
@@ -68,8 +68,7 @@ def toy_ring():
         renewable_buses=(2, 3), reference_bus=1)
     case = derive_line_limits(case, 2.0, 0.6)
     problem = assemble_mpqp(case)
-    decomp = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
-                               coverage_samples=2000)
+    decomp = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0])
     return problem, decomp.theta_space, decomp
 
 

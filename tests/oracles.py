@@ -558,7 +558,7 @@ def sequential_distinct_rows(G, w):
     return G[keep], w[keep]
 
 
-def solve_every_step_regions(problem, box_lo, box_hi, coverage_samples=20000):
+def solve_every_step_regions(problem, box_lo, box_hi):
     """Region enumeration that solves the dispatch problem at every facet
     step inside the Fourier-Motzkin parameter set, the way it ran before
     crossings were certified and boundaries proved.
@@ -612,7 +612,7 @@ def solve_every_step_regions(problem, box_lo, box_hi, coverage_samples=20000):
     regions = [replace(seen[key], id=k) for k, key in enumerate(sorted(seen))]
     decomp = RegionDecomposition(regions=regions, theta_space=theta_space,
                                  degenerate_diagnostics=diagnostics)
-    decomp.coverage_volume_ratio = estimate_coverage(decomp, coverage_samples)
+    decomp.coverage_volume_ratio = estimate_coverage(decomp)
     return decomp, steps
 
 

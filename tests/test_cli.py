@@ -185,6 +185,40 @@ def test_non_numeric_err_rel_exits_2(toy_config, capsys, err_rel, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("mc_n_samples", 1e5, "mc_n_samples must be an integer, not 100000.0"),
+    ("mc_n_samples", True, "mc_n_samples must be an integer, not True"),
+    ("mc_bins", 50.0, "mc_bins must be an integer, not 50.0"),
+    ("mc_seed", 2.5, "mc_seed must be an integer, not 2.5"),
+    ("mc_seed", -3, "mc_seed must be in [0, 2^64), got -3"),
+    ("q", "0.018", "q must be a number, not '0.018'"),
+    ("forecast_fraction", "0.5",
+     "forecast_fraction must be a number, not '0.5'"),
+    ("kappa", "2", "kappa must be a number, not '2'"),
+    ("epsilon", True, "epsilon must be a number, not True"),
+], ids=["float-n-samples", "boolean-n-samples", "float-bins", "float-seed",
+        "negative-seed", "string-q", "string-forecast", "string-kappa",
+        "boolean-epsilon"])
+def test_bad_numeric_key_exits_2_before_any_build(toy_config, capsys,
+                                                  monkeypatch, key, value,
+                                                  message):
+    """Scalar real keys take no bool or str, the Monte Carlo counts and
+    seed no float either, and the seed lies in [0, 2^64); the config is
+    rejected before a region is enumerated."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a bad config must not reach the enumeration")
+
+    monkeypatch.setattr(pipeline, "enumerate_regions", fail)
+    config_path, _ = toy_config
+    doc = json.loads(config_path.read_text())
+    if key == "q":
+        doc.pop("sigma_theta")
+    doc[key] = value
+    config_path.write_text(json.dumps(doc))
+    assert main(["mc", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_no_renewable_buses_exits_2(tmp_path, capsys):
     """case14 with the default empty renewable_buses has no injection."""
     config = {"case_path": str(case14_path()), "forecast_fraction": 0.5,

@@ -54,9 +54,9 @@ def test_setup_lps_match_linprog(monkeypatch, study14, toy_ring, toy2r):
     """Every LP of a case14-study build and of the toy region enumerations."""
     calls = captured_lps(monkeypatch, lambda: build_study(study14.config))
     ring = captured_lps(monkeypatch, lambda: enumerate_regions(
-        toy_ring[0], [0.0, 0.0], [30.0, 30.0], coverage_samples=2000))
+        toy_ring[0], [0.0, 0.0], [30.0, 30.0]))
     toy = captured_lps(monkeypatch, lambda: enumerate_regions(
-        toy2r[0], [0.0], [25.0], coverage_samples=2000))
+        toy2r[0], [0.0], [25.0]))
     assert calls and ring and toy
     for args, kwargs in calls + ring + toy:
         assert_same(args, kwargs)

@@ -75,6 +75,11 @@ def test_row_layout(name, toy_hand):
     m, n_g, n_t = problem.m, problem.n_g, problem.n_theta
     assert FIRST_INEQ == 2
     assert problem.ineq_rows == range(2, 2 + 2 * m + 2 * n_g)
+    assert problem.unit_rows == range(2 + 2 * m, 2 + 2 * m + 2 * n_g)
+    # the unit rows' right-hand sides are g_max, then -g_min
+    units = problem.case.generators
+    assert np.array_equal(problem.b[problem.unit_rows],
+                          [g.g_max for g in units] + [-g.g_min for g in units])
     # row 0 is the balance  1' g <= D - 1' theta
     assert np.array_equal(problem.A[0], np.ones(n_g))
     assert problem.b[0] == problem.case.total_demand()
@@ -118,6 +123,28 @@ def test_both_bounds_of_a_line_or_unit_cannot_bind():
         else:
             _check_partition_consistency(problem, part)
     assert conflicts == 2 * (m + n_g)
+
+
+def test_opposite_bounds_make_the_kkt_system_singular():
+    """Both bounds of one line or unit are rows of A that are exact
+    negations, with right-hand sides a positive width apart, so
+    `parametric_kkt` raises for each such pair of case14's inequality rows,
+    alone and with every one or two further rows; `certified_partition`
+    needs no check for the pair."""
+    problem = _case14_problem()
+    rows = problem.ineq_rows
+    pairs = 0
+    for i in rows:
+        j = problem.row_bound(i)[2]
+        if j < i:
+            continue
+        pairs += 1
+        others = [r for r in rows if r not in (i, j)]
+        for k in range(3):
+            for extra in itertools.combinations(others, k):
+                with pytest.raises(SingularActiveSetError):
+                    parametric_kkt(problem, (i, j, *extra))
+    assert pairs == problem.m + problem.n_g
 
 
 def test_case14_dimensions():
@@ -477,6 +504,36 @@ def test_degenerate_facet_points_price_an_adjacent_region(study14):
                           default=np.inf)
                 assert gap <= 1e-6, (region.id, i, step)
     assert degenerate
+
+
+@pytest.mark.parametrize("step", [1e-8, 1e-7])
+@pytest.mark.parametrize("system", ["toy2r", "toy_ring", "study14",
+                                    "r4_study"])
+def test_facet_probes_price_their_region(system, step, request):
+    """Each region facet point, stepped step * (1 + |theta|_inf) into the
+    region along the facet's unit normal, lies strictly inside it, and a
+    dispatch solve there returns that region's price to 1e-6, not the
+    neighbour's across the facet.  (At a step of 1e-9 a few probes of the
+    case14 studies still miss.)"""
+    study = request.getfixturevalue(system)
+    if system in ("toy2r", "toy_ring"):
+        problem, _, decomp = study
+    else:
+        problem, decomp = study.problem, study.decomposition
+    probes = 0
+    for region in decomp.regions:
+        poly = region.polytope.normalized()
+        for i in range(poly.n_rows):
+            point = poly.facet_point(i)
+            if point is None:
+                continue
+            theta = point - step * (1.0 + np.abs(point).max()) * poly.G[i]
+            assert np.all(poly.G @ theta < poly.w)
+            price = compute_lmp(solve_opf(problem, theta), problem.ptdf).values
+            assert np.abs(price - region.lmp_at(theta)).max() <= 1e-6, \
+                (region.id, i)
+            probes += 1
+    assert probes >= 2 * len(decomp.regions)
 
 
 def test_licq_counting():

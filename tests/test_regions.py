@@ -12,11 +12,11 @@ from lmpspike import (CriticalRegion, GridCase, Generator, InfeasibleError,
                       locate, locate_region, lp, mc_spike_probabilities,
                       optimal_partition, regions, save_decomposition,
                       solve_opf)
-from lmpspike.opf import (OptimalPartition, _split_binding, kkt_point,
-                         lmp_map, parametric_kkt)
+from lmpspike.opf import (OptimalPartition, _split_binding,
+                         certified_partition, kkt_point, lmp_map,
+                         parametric_kkt, proves_infeasible)
 from lmpspike.polytope import box_polytope
-from lmpspike.regions import (LOCATE_CHUNK, _build_region,
-                              _certified_crossing, _partition_at)
+from lmpspike.regions import LOCATE_CHUNK, _build_region, _partition_at
 from lmpspike.stochastic import sample
 
 from oracles import (brute_vertices, distinct_interior_partitions,
@@ -35,8 +35,7 @@ def test_single_unit_interval():
                     loads=np.array([5.0]), renewable_buses=(1,),
                     reference_bus=1)
     problem = assemble_mpqp(case)
-    theta = enumerate_regions(problem, [0.0], [50.0],
-                              coverage_samples=0).theta_space
+    theta = enumerate_regions(problem, [0.0], [50.0]).theta_space
     lo, hi = theta.bounding_box()
     assert lo[0] == pytest.approx(0.0, abs=1e-9)
     assert hi[0] == pytest.approx(5.0, abs=1e-9)
@@ -93,7 +92,7 @@ def test_single_region_when_nothing_can_bind():
                     loads=np.array([0.0, 10.0]), renewable_buses=(2,),
                     reference_bus=1)
     problem = assemble_mpqp(case)
-    decomp = enumerate_regions(problem, [1.0], [9.0], coverage_samples=500)
+    decomp = enumerate_regions(problem, [1.0], [9.0])
     assert decomp.n_regions == 1
     r = decomp.regions[0]
     assert r.partition.binding == (0,)
@@ -168,15 +167,13 @@ def test_expansion_cap_raises(toy_ring, monkeypatch):
     problem, _, _ = toy_ring
     monkeypatch.setattr(regions, "MAX_EXPANSIONS", 1)
     with pytest.raises(NumericalError, match="cap"):
-        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
-                          coverage_samples=0)
+        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0])
 
 
 def test_enumeration_independent_of_step_size(toy_ring, monkeypatch):
     problem, _, decomp = toy_ring
     monkeypatch.setattr(regions, "STEP_REL", 30 * regions.STEP_REL)
-    bigger = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
-                               coverage_samples=0)
+    bigger = enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0])
     assert {r.partition.key for r in bigger.regions} \
         == {r.partition.key for r in decomp.regions}
 
@@ -217,7 +214,7 @@ def test_certified_crossing_equals_a_solve(any_system, seed):
                              fp + step * scale * poly.G[i] + jitter):
                     if not theta_space.contains(cand, tol=1e-12):
                         continue
-                    part = _certified_crossing(problem, binding, cand)
+                    part = certified_partition(problem, binding, cand)
                     if part is None:
                         continue
                     certified += 1
@@ -231,8 +228,8 @@ def test_enumeration_equals_the_solve_every_step_reference(any_system):
     parameter set; every such step is a certified crossing or a fallback,
     and the steps past it are proved, so the parameter sets agree."""
     problem, _, decomp, box = any_system
-    ref, steps = solve_every_step_regions(problem, *box, coverage_samples=0)
-    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    ref, steps = solve_every_step_regions(problem, *box)
+    ours = enumerate_regions(problem, *box)
     assert ours.degenerate_diagnostics == ref.degenerate_diagnostics
     assert [r.partition for r in ours.regions] \
         == [r.partition for r in ref.regions]
@@ -270,9 +267,9 @@ def test_dispatch_solve_at_every_step_gives_the_same_decomposition(
     def uncertified(*args):
         steps.append(args)
 
-    monkeypatch.setattr(regions, "_certified_crossing", uncertified)
-    monkeypatch.setattr(regions, "_proves_infeasible", lambda *args: False)
-    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    monkeypatch.setattr(regions, "certified_partition", uncertified)
+    monkeypatch.setattr(regions, "proves_infeasible", lambda *args: False)
+    ours = enumerate_regions(problem, *box)
     assert (ours.certified_crossings, ours.boundary_steps) == (0, 0)
     assert ours.fallback_solves == len(steps) > ref.fallback_solves
     assert ours.degenerate_diagnostics == ref.degenerate_diagnostics
@@ -321,7 +318,7 @@ def test_seed_falls_back_to_a_seeded_draw(system, verdict, request,
         return solve(problem, theta)[0], True
 
     monkeypatch.setattr(regions, "_partition_at", center_fails)
-    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    ours = enumerate_regions(problem, *box)
     assert np.array_equal(thetas[0], center)
     assert np.array_equal(thetas[1], first_draw)
     _assert_same_regions(ours, ref)
@@ -342,8 +339,7 @@ def test_no_seed_among_the_draws_raises(toy_ring, monkeypatch):
     monkeypatch.setattr(regions, "_partition_at", never)
     with pytest.raises(NumericalError,
                        match="could not find a nondegenerate seed point"):
-        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0],
-                          coverage_samples=0)
+        enumerate_regions(problem, [0.0, 0.0], [30.0, 30.0])
     assert len(calls) == 501
 
 
@@ -359,8 +355,8 @@ def test_failed_or_returning_fallback_step_goes_ten_times_farther(
     that neighbour and the regions do not change."""
     problem, _, ref = request.getfixturevalue(system)
     box = ([0.0], [25.0]) if system == "toy2r" else ([0.0, 0.0], [30.0, 30.0])
-    monkeypatch.setattr(regions, "_certified_crossing", lambda *args: None)
-    monkeypatch.setattr(regions, "_proves_infeasible", lambda *args: False)
+    monkeypatch.setattr(regions, "certified_partition", lambda *args: None)
+    monkeypatch.setattr(regions, "proves_infeasible", lambda *args: False)
     calls = []
     seed = []  # the seed's binding set; its region is expanded first
     steps = []  # binding-set key of each facet step with a dispatch
@@ -381,7 +377,7 @@ def test_failed_or_returning_fallback_step_goes_ten_times_farther(
         return seed[0], False
 
     monkeypatch.setattr(regions, "_partition_at", faulty)
-    ours = enumerate_regions(problem, *box, coverage_samples=0)
+    ours = enumerate_regions(problem, *box)
     k = injected[0]
     assert steps[k + 1] == steps[k] != seed[0].key
     assert ours.fallback_solves == len(calls) - 1
@@ -440,19 +436,19 @@ def test_r4_parameter_set_and_capacities_equal_the_projection(r4_study):
 
 def test_proved_boundary_steps_are_infeasible_for_the_phase1_oracle(
         any_system, monkeypatch):
-    """Every step `_proves_infeasible` settles has no dispatch by the
+    """Every step `proves_infeasible` settles has no dispatch by the
     elastic phase-1 LP, to a tolerance of 1e-10 (1 + max|b|)."""
     problem, _, _, box = any_system
     proved = []
 
-    def recording(problem, kkt, theta, proves=regions._proves_infeasible):
+    def recording(problem, kkt, theta, proves=regions.proves_infeasible):
         if proves(problem, kkt, theta):
             proved.append(theta)
             return True
         return False
 
-    monkeypatch.setattr(regions, "_proves_infeasible", recording)
-    decomp = enumerate_regions(problem, *box, coverage_samples=0)
+    monkeypatch.setattr(regions, "proves_infeasible", recording)
+    decomp = enumerate_regions(problem, *box)
     assert len(proved) == decomp.boundary_steps > 0
     for theta in proved:
         with pytest.raises(InfeasibleError):
@@ -474,7 +470,7 @@ def test_farkas_test_proves_nothing_at_feasible_points(any_system):
         kkt = parametric_kkt(problem, region.partition.binding_ineq)
         for theta in pts:
             violated += int(kkt_point(problem, kkt, theta)[1].max() > 0.0)
-            assert not regions._proves_infeasible(problem, kkt, theta)
+            assert not proves_infeasible(problem, kkt, theta)
     assert violated > len(pts)
 
 
