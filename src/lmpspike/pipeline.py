@@ -32,9 +32,12 @@ from .stochastic import (CovarianceSpec, build_covariance, compare_ranking,
                          write_mc_csv)
 
 
-def _number(value, kind=numbers.Real) -> bool:
-    """Whether a config value is a number of `kind`; bool is an int
-    subclass, but true must not run as 1."""
+def _number(value, kind=numbers.Real, depth: int = 0) -> bool:
+    """Whether a config value is a number of `kind`, in lists nested
+    `depth` deep; bool is an int subclass, but true must not run as 1."""
+    if depth:
+        return isinstance(value, (list, tuple)) \
+            and all(_number(v, kind, depth - 1) for v in value)
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -73,6 +76,18 @@ class AnalysisConfig:
                            else numbers.Real):
                 kind = "an integer" if integral else "a number"
                 raise ConfigError(f"{name} must be {kind}, not {value!r}")
+        integers, reals = numbers.Integral, numbers.Real
+        for name, kind, depth, what in (
+                ("reference_bus", integers, 0, "an integer or null"),
+                ("renewable_buses", integers, 1, "a list of integers"),
+                ("node_filter", integers, 1, "a list of integers"),
+                ("mu_theta", reals, 1, "a list of numbers"),
+                ("alpha_minus", reals, 1, "a list of numbers"),
+                ("alpha_plus", reals, 1, "a list of numbers"),
+                ("sigma_theta", reals, 2, "a list of lists of numbers")):
+            value = getattr(self, name)
+            if value is not None and not _number(value, kind, depth):
+                raise ConfigError(f"{name} must be {what}, not {value!r}")
         if not 0 <= self.mc_seed < 2 ** 64:
             raise ConfigError("mc_seed must be in [0, 2^64), "
                               f"got {self.mc_seed}")

@@ -64,7 +64,9 @@ class CriticalRegion:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim == 1:
             return self.lmp_c + self.lmp_C @ theta
-        return theta @ self.lmp_C.T + self.lmp_c
+        prices = theta @ self.lmp_C.T
+        prices += self.lmp_c
+        return prices
 
 
 @dataclass

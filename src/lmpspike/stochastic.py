@@ -15,8 +15,11 @@ each region's samples are priced by its affine map in blocks of at most
 `PRICE_BLOCK` rows, so memory grows with the samples, not with samples x
 buses.  A first pass over the blocks counts spikes and finds each node's
 price range; a second pass, only for histograms, re-prices the blocks and
-bins them over that range.  Every figure equals that of binning each
-node's whole price column (see `mc_spike_probabilities`).
+bins them over that range with `_bin_counts`, numpy's uniform-bin rule
+without `np.histogram`'s per-call overhead.  numpy bins each value on its
+own against edges fixed by the range, so the summed block counts, like
+every other figure, equal those of each node's whole price column (see
+`mc_spike_probabilities`).
 """
 
 from __future__ import annotations
@@ -97,20 +100,26 @@ def sample(model: GaussianModel, n: int, seed: int) -> np.ndarray:
     1 and the stream is that of N(mu, Sigma).  Chunk k uses Philox key
     (seed, k); the result is identical however the chunks would be
     scheduled, and bit-identical across runs for a fixed numpy version.
+    Each chunk's product is written in place and mu added to it a column
+    at a time; that is the bits of `mu + z @ L.T`, since the product fills
+    a C-contiguous row slice as it fills a new array and each element gets
+    the same one addition.
     """
     if n < 1:
         raise ConfigError("sample count must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    d = model.mu_theta.size
+    mu = model.mu_theta
     L = math.sqrt(model.epsilon) * model.cholesky_lower
-    out = np.empty((n, d))
+    out = np.empty((n, mu.size))
     for k, start in enumerate(range(0, n, SAMPLE_CHUNK)):
         stop = min(start + SAMPLE_CHUNK, n)
         bitgen = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
         rng = np.random.Generator(bitgen)
-        z = rng.standard_normal((stop - start, d))
-        out[start:stop] = model.mu_theta + z @ L.T
+        z = rng.standard_normal((stop - start, mu.size))
+        np.matmul(z, L.T, out=out[start:stop])
+        for j, m in enumerate(mu):
+            out[start:stop, j] += m
     return out
 
 
@@ -160,13 +169,14 @@ def mc_spike_probabilities(samples: np.ndarray,
     a block at a time (see `_price_blocks`), and two passes run over the
     blocks: the first counts valid samples, each node's spikes, the samples
     where any node spikes, and each node's price minimum and maximum; the
-    second, run only for histograms, re-prices the same blocks and sums each
-    block's `np.histogram` over that fixed range.  The result is bit for bit
-    that of binning each node's whole price column: counts are integer sums,
-    the extremes do not depend on sample order, each sample's price is the
-    same product of its region's map, and numpy bins uniform bins one
-    element at a time against edges that depend only on the range, which
-    an explicit range derives by the same rule as the automatic one
+    second, run only for histograms, re-prices the same blocks and sums
+    each block's `_bin_counts` over that fixed range: numpy's uniform-bin
+    rule, as `np.histogram` applies it.  The result is bit for bit that of
+    `np.histogram` on each node's whole price column: counts are integer
+    sums, the extremes do not depend on sample order, each sample's price
+    is the same product of its region's map, and the rule bins one element
+    at a time against edges that depend only on the range, which an
+    explicit range derives by the same rule as the automatic one
     (including the widening by 0.5 when the minimum equals the maximum).
     """
     nodes = list(spec.nodes())
@@ -212,28 +222,60 @@ def _stream(samples: np.ndarray, decomposition: RegionDecomposition,
     spike_counts = np.zeros(len(nodes), dtype=np.int64)
     lo = np.full(len(nodes), np.inf)
     hi = np.full(len(nodes), -np.inf)
+    if spec is not None:
+        below = spec.alpha_minus[nodes][:, None]
+        above = spec.alpha_plus[nodes][:, None]
     for block in blocks():
-        vals = block[:, nodes]
-        valid += vals.shape[0]
+        vals = block.T[nodes]  # node-major copy: one row per node
+        valid += vals.shape[1]
         if spec is not None:
-            spikes = (vals < spec.alpha_minus[nodes]) \
-                | (vals > spec.alpha_plus[nodes])
-            spike_counts += spikes.sum(axis=0)
-            overall += int(np.count_nonzero(spikes.any(axis=1)))
+            spikes = (vals < below) | (vals > above)
+            spike_counts += spikes.sum(axis=1)
+            overall += int(np.count_nonzero(spikes.any(axis=0)))
         if histograms:
-            np.minimum(lo, vals.min(axis=0), out=lo)
-            np.maximum(hi, vals.max(axis=0), out=hi)
+            np.minimum(lo, vals.min(axis=1), out=lo)
+            np.maximum(hi, vals.max(axis=1), out=hi)
     if valid == 0:
         raise InfeasibleError("no feasible Monte Carlo samples")
     hists = []
     if histograms:
-        ranges = list(zip(lo, hi))
         hists = [(np.histogram_bin_edges(np.empty(0), bins, range=r),
-                  np.zeros(bins, dtype=np.intp)) for r in ranges]
+                  np.zeros(bins, dtype=np.intp)) for r in zip(lo, hi)]
         for block in blocks():
-            for col, r, (_, counts) in zip(block.T[nodes], ranges, hists):
-                counts += np.histogram(col, bins, range=r)[0]
+            for col, (edges, counts) in zip(block.T[nodes], hists):
+                counts += _bin_counts(col, edges)
     return valid, fallback, spike_counts, overall, hists
+
+
+def _bin_counts(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """`np.histogram(col, bins, range=(edges[0], edges[-1]))[0]` for the
+    edges numpy derives from that range, when every value lies in it.
+
+    numpy's uniform-bin rule without its range filter and per-call edge
+    rebuild: numpy's own estimate, same operations in the same order,
+    clipped to the last bin and counted by one `np.bincount`; then, as
+    numpy does, a value below its bin's lower edge moves one bin down,
+    else one at or above its upper edge (+inf for the last bin, which
+    holds its right edge) one bin up.  Only rows that move are touched; a
+    row moved down never moves up, its new upper edge being the edge it
+    fell below.
+    """
+    bins = edges.size - 1
+    est = col - edges[0]
+    est /= edges[-1] - edges[0]
+    est *= bins
+    k = est.astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    counts = np.bincount(k, minlength=bins)
+    upper = np.append(edges[1:-1], np.inf)
+    for table, moves, step in ((edges, np.less, -1),
+                               (upper, np.greater_equal, 1)):
+        rows = np.flatnonzero(moves(col, table[k]))
+        if rows.size:
+            np.subtract.at(counts, k[rows], 1)
+            k[rows] += step
+            np.add.at(counts, k[rows], 1)
+    return counts
 
 
 def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,

@@ -205,15 +205,59 @@ def test_bad_numeric_key_exits_2_before_any_build(toy_config, capsys,
     """Scalar real keys take no bool or str, the Monte Carlo counts and
     seed no float either, and the seed lies in [0, 2^64); the config is
     rejected before a region is enumerated."""
+    edits = {key: value}
+    if key == "q":
+        edits["sigma_theta"] = None
+    _assert_mc_exits_2_before_any_build(toy_config, capsys, monkeypatch,
+                                        edits, message)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"renewable_buses": ["2"]},
+     "renewable_buses must be a list of integers, not ['2']"),
+    ({"renewable_buses": [2.0]},
+     "renewable_buses must be a list of integers, not [2.0]"),
+    ({"renewable_buses": 2},
+     "renewable_buses must be a list of integers, not 2"),
+    ({"node_filter": [True]},
+     "node_filter must be a list of integers, not [True]"),
+    ({"node_filter": ["2"]},
+     "node_filter must be a list of integers, not ['2']"),
+    ({"reference_bus": "1"},
+     "reference_bus must be an integer or null, not '1'"),
+    ({"sigma_theta": [["1"]]},
+     "sigma_theta must be a list of lists of numbers, not [['1']]"),
+    ({"mu_theta": ["5"], "forecast_fraction": None},
+     "mu_theta must be a list of numbers, not ['5']"),
+    ({"alpha_minus": ["1"], "alpha_plus": [30.0, 30.0], "err_rel": None},
+     "alpha_minus must be a list of numbers, not ['1']"),
+], ids=["string-bus", "float-bus", "scalar-buses", "boolean-filter",
+        "string-filter", "string-reference", "string-sigma", "string-mu",
+        "string-alpha"])
+def test_bad_list_key_exits_2_before_any_build(toy_config, capsys,
+                                               monkeypatch, edits, message):
+    """Bus lists and the reference bus take integers only, and the mean,
+    covariance and band lists real numbers only; the config is rejected
+    before a region is enumerated."""
+    _assert_mc_exits_2_before_any_build(toy_config, capsys, monkeypatch,
+                                        edits, message)
+
+
+def _assert_mc_exits_2_before_any_build(toy_config, capsys, monkeypatch,
+                                        edits, message):
+    """`mc` on the toy config with `edits` applied (None drops a key)
+    exits 2 with `message` and enumerates no region."""
     def fail(*args, **kwargs):
         raise AssertionError("a bad config must not reach the enumeration")
 
     monkeypatch.setattr(pipeline, "enumerate_regions", fail)
     config_path, _ = toy_config
     doc = json.loads(config_path.read_text())
-    if key == "q":
-        doc.pop("sigma_theta")
-    doc[key] = value
+    for key, value in edits.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
     config_path.write_text(json.dumps(doc))
     assert main(["mc", "--config", str(config_path)]) == 2
     assert message in capsys.readouterr().err

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmpspike import (ConfigError, CovarianceSpec, GaussianModel, GridCase,
@@ -103,6 +103,27 @@ def test_unit_epsilon_keeps_the_sample_stream(monkeypatch):
             np.random.Philox(key=np.array([11, k], dtype=np.uint64)))
         z = rng.standard_normal((n, 2))
         expected.append(model.mu_theta + z @ model.cholesky_lower.T)
+    assert np.array_equal(draws, np.vstack(expected))
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.25])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_samples_are_the_offset_product_of_each_chunk(d, epsilon):
+    """Each chunk is mu + sqrt(eps) L z for its Philox key bit for bit,
+    over one full chunk and a partial one."""
+    rng = np.random.default_rng(d)
+    factor = rng.normal(size=(d, d))
+    model = GaussianModel(rng.uniform(5.0, 90.0, d),
+                          factor @ factor.T + 0.1 * np.eye(d),
+                          epsilon=epsilon)
+    L = np.sqrt(epsilon) * model.cholesky_lower
+    n = stochastic.SAMPLE_CHUNK + 777
+    draws = sample(model, n, seed=5)
+    expected = []
+    for k, m in enumerate((stochastic.SAMPLE_CHUNK, 777)):
+        z = np.random.Generator(np.random.Philox(
+            key=np.array([5, k], dtype=np.uint64))).standard_normal((m, d))
+        expected.append(model.mu_theta + z @ L.T)
     assert np.array_equal(draws, np.vstack(expected))
 
 
@@ -365,6 +386,90 @@ def test_price_blocks_reproduce_the_dense_prices(study14, samples_high,
         blocks, _ = stochastic._price_blocks(draws, decomp, problem)
         streamed = np.vstack(list(blocks()))
     assert np.array_equal(streamed, want)
+
+
+def test_region_prices_are_the_product_plus_the_offset(study14,
+                                                       samples_high):
+    """The 2-D `lmp_at` is `theta @ C.T + c` bit for bit on every region of
+    the acceptance study, for one, two and 3000 rows."""
+    draws = samples_high[:3000]
+    for region in study14.decomposition.regions:
+        for theta in (draws[:1], draws[:2], draws):
+            assert np.array_equal(region.lmp_at(theta),
+                                  theta @ region.lmp_C.T + region.lmp_c)
+
+
+# -- the histogram kernel --------------------------------------------------------
+
+def assert_bin_counts_equal_np_histogram(col, lo, hi, bins, cuts=()):
+    """`_bin_counts` equals `np.histogram` over (lo, hi) in values and
+    dtype, on the whole column and summed over the blocks `cuts` makes."""
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
+    want = np.histogram(col, bins, range=(lo, hi))[0]
+    got = stochastic._bin_counts(col, edges)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    summed = np.zeros(bins, dtype=np.intp)
+    for block in np.split(col, cuts):
+        summed += stochastic._bin_counts(block, edges)
+    assert np.array_equal(summed, want)
+
+
+def on_and_beside_edges(lo, hi, bins):
+    """Every edge numpy derives for (lo, hi), its neighbouring doubles on
+    both sides, and lo and hi, all inside the edges' range."""
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf), [lo, hi]])
+    return values[(values >= edges[0]) & (values <= edges[-1])]
+
+
+@pytest.mark.parametrize("lo, hi, bins", [
+    (0.0, 1.0, 2), (0.1, 0.7, 299), (-7.25, -1.5, 200), (30.0, 30.0, 200),
+    (-4.0, -4.0, 3), (30.0, 30.0 + 200 * np.spacing(30.0), 200),
+    (1e6, 1e6 + 1e-9, 8), (1e6, 1e6 + 300 * np.spacing(1e6), 300),
+    (1.0 - 60 * np.spacing(0.9), 1.0 + 60 * np.spacing(1.0), 60),
+    (1e12, 1e12 + 3.0, 300), (-1e15, 1e15, 7), (-2e-300, 5e-300, 13)])
+def test_bin_counts_equal_np_histogram_on_and_beside_every_edge(lo, hi,
+                                                                bins):
+    """Constant columns (widened by 0.5), negative ranges, ranges one ulp
+    per bin wide (numpy refuses narrower ones), one across a binade, and
+    large-magnitude ranges, 2 to 300 bins."""
+    col = on_and_beside_edges(lo, hi, bins)
+    assert_bin_counts_equal_np_histogram(col, lo, hi, bins,
+                                         cuts=[1, col.size // 2])
+    assert_bin_counts_equal_np_histogram(np.full(9, lo), lo, lo, bins)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bin_counts_equal_np_histogram(data):
+    """Random ranges of every width kind, values drawn on, beside and
+    between the edges, and any split into blocks."""
+    lo = data.draw(st.floats(-1e12, 1e12))
+    width = data.draw(st.sampled_from(["constant", "ulps", "scaled"]))
+    if width == "constant":
+        hi = lo
+    elif width == "ulps":
+        hi = lo + data.draw(st.integers(1, 4000)) * np.spacing(abs(lo))
+    else:
+        hi = lo + data.draw(st.floats(1e-9, 1e9)) * max(1.0, abs(lo))
+    bins = data.draw(st.integers(2, 300))
+    try:
+        edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
+    except ValueError:  # fewer than one double per bin: numpy refuses
+        assume(False)
+    at = data.draw(st.lists(st.tuples(st.integers(0, bins),
+                                      st.sampled_from([-1, 0, 1])),
+                            max_size=40))
+    near = [np.nextafter(edges[i], side * np.inf) if side else edges[i]
+            for i, side in at]
+    inner = [edges[0] + f * (edges[-1] - edges[0])
+             for f in data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))]
+    col = np.clip(np.array(near + inner + [lo, hi]), edges[0], edges[-1])
+    cuts = sorted(data.draw(st.lists(st.integers(1, col.size - 1),
+                                     max_size=4, unique=True)))
+    assert_bin_counts_equal_np_histogram(col, lo, hi, bins, cuts)
 
 
 def test_streamed_mc_memory_stays_below_the_price_matrix(study14,
