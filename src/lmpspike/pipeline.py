@@ -263,13 +263,13 @@ def cmd_mc(study: Study, echo=print) -> list[Path]:
     cfg = study.config
     node_ids = list(study.case.buses)
     samples = sample(study.model, cfg.mc_n_samples, cfg.mc_seed)
+    points = study.band_points()
+    specs = [study.spike_spec(err) for err, _ in points]
+    results = mc_spike_probabilities(samples, study.decomposition, specs,
+                                     problem=study.problem, bins=cfg.mc_bins)
     written = []
-    for err, label in study.band_points():
+    for (_, label), spec, mc in zip(points, specs, results):
         out = _prepare_outdir(cfg, label)
-        spec = study.spike_spec(err)
-        mc = mc_spike_probabilities(samples, study.decomposition, spec,
-                                    problem=study.problem, seed=cfg.mc_seed,
-                                    bins=cfg.mc_bins)
         analysis = decay_rates(study.decomposition, study.model, spec)
         ranking = rank_nodes(analysis)
         comparison = compare_ranking(mc, ranking)

@@ -9,17 +9,17 @@ Philox generator keyed by (seed, chunk), so runs are reproducible and chunk
 order cannot change the stream.  Samples are priced through
 `regions.locate`, the same lookup and tie rule as `locate_region`.
 
-Monte Carlo statistics are streamed: `regions.locate` runs once over all
-samples, a stable counting sort groups the sample indices by region, and
-each region's samples are priced by its affine map in blocks of at most
-`PRICE_BLOCK` rows, so memory grows with the samples, not with samples x
-buses.  A first pass over the blocks counts spikes and finds each node's
-price range; a second pass, only for histograms, re-prices the blocks and
-bins them over that range with `_bin_counts`, numpy's uniform-bin rule
-without `np.histogram`'s per-call overhead.  numpy bins each value on its
-own against edges fixed by the range, so the summed block counts, like
-every other figure, equal those of each node's whole price column (see
-`mc_spike_probabilities`).
+Monte Carlo statistics are streamed, once for all bands: `regions.locate`
+runs once over all samples, a stable counting sort groups the sample
+indices by region, and each region's samples are priced by its affine map
+in blocks of at most `PRICE_BLOCK` rows, so memory grows with the samples,
+not with samples x buses.  A first pass over the blocks counts each band's
+spikes and finds each node's price range; a second re-prices the blocks
+and bins them over that range with `_bin_counts`, numpy's uniform-bin rule
+without `np.histogram`'s per-call overhead, for histograms every band
+shares.  numpy bins each value on its own against edges fixed by the
+range, so the summed block counts, like every other figure, equal those
+of each node's whole price column (see `mc_spike_probabilities`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CaseError, ConfigError, InfeasibleError
+from .errors import CaseError, ConfigError, InfeasibleError, NumericalError
 from .grid import GridCase, weighted_laplacian
 from .opf import MPQPProblem, compute_lmp, solve_opf
 from .regions import RegionDecomposition, locate
@@ -140,7 +140,6 @@ class NodeHistogram:
 @dataclass
 class MCResult:
     n_samples: int
-    seed: int
     node_spike_counts: np.ndarray
     node_spike_probs: np.ndarray
     overall_spike_count: int
@@ -154,46 +153,46 @@ class MCResult:
         return self.n_samples - self.infeasible_count
 
 
+class MCResults(list):
+    """One `MCResult` per spec; perfbench's tracer reads the shared counts."""
+    fallback_count = property(lambda self: self[0].fallback_count)
+    infeasible_count = property(lambda self: self[0].infeasible_count)
+
+
 def mc_spike_probabilities(samples: np.ndarray,
                            decomposition: RegionDecomposition,
-                           spec: SpikeSpec,
+                           specs: list[SpikeSpec],
                            problem: MPQPProblem,
-                           seed: int = 0,
-                           bins: int = 200,
-                           with_histograms: bool = True) -> MCResult:
-    """Empirical spike frequencies per node and overall.
+                           bins: int = 200) -> MCResults:
+    """Empirical spike frequencies per node and overall, one result per spec.
 
     The per-node event is the price leaving [alpha-, alpha+]; the overall
-    event is any filtered node spiking.  Infeasible samples are counted and
-    excluded from the statistics.  Samples are grouped by region and priced
-    a block at a time (see `_price_blocks`), and two passes run over the
-    blocks: the first counts valid samples, each node's spikes, the samples
-    where any node spikes, and each node's price minimum and maximum; the
-    second, run only for histograms, re-prices the same blocks and sums
-    each block's `_bin_counts` over that fixed range: numpy's uniform-bin
-    rule, as `np.histogram` applies it.  The result is bit for bit that of
-    `np.histogram` on each node's whole price column: counts are integer
-    sums, the extremes do not depend on sample order, each sample's price
-    is the same product of its region's map, and the rule bins one element
-    at a time against edges that depend only on the range, which an
-    explicit range derives by the same rule as the automatic one
-    (including the widening by 0.5 when the minimum equals the maximum).
+    event is any filtered node spiking; infeasible samples are excluded.
+    The specs select the same nodes, and one `_stream` locates, prices and
+    bins the samples for all of them; the results share the histograms'
+    edges and counts, each with its own band markers.  Every figure is bit
+    for bit that of `np.histogram` on the dense price matrix's columns:
+    counts are integer sums, extremes ignore sample order, each price is
+    the same product of its region's map, and numpy bins each value alone
+    against edges that an explicit range derives as the automatic one does.
     """
-    nodes = list(spec.nodes())
+    selected = {spec.nodes() for spec in specs}
+    if len(selected) != 1:
+        raise ValueError("the spike specs must select the same nodes, "
+                         f"not {sorted(selected)}")
+    nodes = list(selected.pop())
     valid, fallback, spike_counts, overall, hists = _stream(
-        samples, decomposition, problem, nodes, bins, spec, with_histograms)
-    node_counts = np.zeros(spec.n, dtype=np.int64)
-    node_counts[nodes] = spike_counts
-    n_s = samples.shape[0]
-    return MCResult(n_samples=n_s, seed=seed,
-                    node_spike_counts=node_counts,
-                    node_spike_probs=node_counts / valid,
-                    overall_spike_count=overall,
-                    overall_spike_prob=overall / valid,
-                    infeasible_count=n_s - valid,
-                    fallback_count=fallback,
-                    histograms={i: _node_histogram(i, *h, spec)
-                                for i, h in zip(nodes, hists)})
+        samples, decomposition, problem, nodes, bins, specs)
+    node_counts = np.zeros((len(specs), specs[0].n), dtype=np.int64)
+    node_counts[:, nodes] = spike_counts
+    return MCResults(MCResult(
+        n_samples=len(samples), node_spike_counts=counts,
+        node_spike_probs=counts / valid, overall_spike_count=spiked,
+        overall_spike_prob=spiked / valid,
+        infeasible_count=len(samples) - valid, fallback_count=fallback,
+        histograms={i: _node_histogram(i, *h, spec)
+                    for i, h in zip(nodes, hists)})
+        for spec, counts, spiked in zip(specs, node_counts, overall))
 
 
 def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
@@ -207,43 +206,45 @@ def empirical_density(samples: np.ndarray, decomposition: RegionDecomposition,
 
 def _stream(samples: np.ndarray, decomposition: RegionDecomposition,
             problem: MPQPProblem, nodes: list[int], bins: int,
-            spec: SpikeSpec | None = None, histograms: bool = True):
+            specs: list[SpikeSpec] = ()):
     """The two passes over the price blocks, for the `nodes` columns.
 
     Returns (valid, fallback, spike_counts, overall, hists): the feasible
-    sample count, the fallback count, per-node spike counts and the any-node
-    count (zero without `spec`), and per-node (edges, counts) when
-    histograms are wanted.
+    and fallback sample counts, each spec's per-node and any-node spike
+    counts, both from one read of each block, and per-node (edges, counts).
     """
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     blocks, fallback = _price_blocks(samples, decomposition, problem)
-    valid = overall = 0
-    spike_counts = np.zeros(len(nodes), dtype=np.int64)
+    valid, overall = 0, [0] * len(specs)
+    spike_counts = np.zeros((len(specs), len(nodes)), dtype=np.int64)
+    bands = [(spec.alpha_minus[nodes][:, None], spec.alpha_plus[nodes][:, None])
+             for spec in specs]
     lo = np.full(len(nodes), np.inf)
     hi = np.full(len(nodes), -np.inf)
-    if spec is not None:
-        below = spec.alpha_minus[nodes][:, None]
-        above = spec.alpha_plus[nodes][:, None]
     for block in blocks():
         vals = block.T[nodes]  # node-major copy: one row per node
         valid += vals.shape[1]
-        if spec is not None:
+        for k, (below, above) in enumerate(bands):
             spikes = (vals < below) | (vals > above)
-            spike_counts += spikes.sum(axis=1)
-            overall += int(np.count_nonzero(spikes.any(axis=0)))
-        if histograms:
-            np.minimum(lo, vals.min(axis=1), out=lo)
-            np.maximum(hi, vals.max(axis=1), out=hi)
+            spike_counts[k] += spikes.sum(axis=1)
+            overall[k] += int(np.count_nonzero(spikes.any(axis=0)))
+        np.minimum(lo, vals.min(axis=1), out=lo)
+        np.maximum(hi, vals.max(axis=1), out=hi)
     if valid == 0:
         raise InfeasibleError("no feasible Monte Carlo samples")
     hists = []
-    if histograms:
-        hists = [(np.histogram_bin_edges(np.empty(0), bins, range=r),
-                  np.zeros(bins, dtype=np.intp)) for r in zip(lo, hi)]
-        for block in blocks():
-            for col, (edges, counts) in zip(block.T[nodes], hists):
-                counts += _bin_counts(col, edges)
+    for node, r in zip(nodes, zip(lo.tolist(), hi.tolist())):
+        try:
+            edges = np.histogram_bin_edges(np.empty(0), bins, range=r)
+        except ValueError:  # fewer doubles in the range than bins
+            raise NumericalError(f"node index {node}: sampled prices span "
+                                 f"{list(r)}, too narrow for {bins} bins"
+                                 ) from None
+        hists.append((edges, np.zeros(bins, dtype=np.intp)))
+    for block in blocks():
+        for col, (edges, counts) in zip(block.T[nodes], hists):
+            counts += _bin_counts(col, edges)
     return valid, fallback, spike_counts, overall, hists
 
 
@@ -328,11 +329,10 @@ def _price_blocks(samples: np.ndarray, decomposition: RegionDecomposition,
 def _node_histogram(node: int, edges: np.ndarray, counts: np.ndarray,
                     spec: SpikeSpec | None) -> NodeHistogram:
     """A node's histogram with its band markers."""
-    hist = NodeHistogram(node=node, edges=edges, counts=counts)
-    if spec is not None:
-        hist.alpha_minus = float(spec.alpha_minus[node])
-        hist.alpha_plus = float(spec.alpha_plus[node])
-    return hist
+    if spec is None:
+        return NodeHistogram(node, edges, counts)
+    return NodeHistogram(node, edges, counts, float(spec.alpha_minus[node]),
+                         float(spec.alpha_plus[node]))
 
 
 def find_modes(hist: NodeHistogram) -> list[int]:

@@ -142,8 +142,8 @@ def test_criterion_2_monte_carlo_cross_check(study14, analysis14,
     analysis, spec = analysis14
     buses = study14.case.buses
     t0 = time.perf_counter()
-    mc = mc_spike_probabilities(samples_high, study14.decomposition, spec,
-                                problem=study14.problem, seed=MC_SEED)
+    [mc] = mc_spike_probabilities(samples_high, study14.decomposition,
+                                  [spec], problem=study14.problem)
     elapsed = time.perf_counter() - t0
     p9 = mc.node_spike_probs[buses.index(9)]
     zeros = {b: mc.node_spike_probs[buses.index(b)] for b in (1, 2, 3, 5)}
@@ -262,8 +262,7 @@ def test_criterion_5_desk_scale_oracles(toy2r, toy_ring):
     model = GaussianModel(mu2, sig2)
     n = 100_000
     draws = sample(model, n, seed=11)
-    mc = mc_spike_probabilities(draws, decomp2, spec2, problem=problem2,
-                                with_histograms=False)
+    [mc] = mc_spike_probabilities(draws, decomp2, [spec2], problem=problem2)
     exact = normal_tail(2.0)
     se = math.sqrt(exact * (1 - exact) / n)
     tail_err = abs(mc.node_spike_probs[0] - exact)

@@ -1,10 +1,17 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from lmpspike import case14_path, pipeline
+import lmpspike
+from lmpspike import case14_path, pipeline, stochastic
 from lmpspike.cli import main
 
 TOY_CASE = {
@@ -117,6 +124,58 @@ def test_mc_sweep_creates_subdirectories(toy_config):
                  "--err-rel", "0.25,0.5"]) == 0
     assert (tmp / "out" / "err_rel_0.25").is_dir()
     assert (tmp / "out" / "err_rel_0.5").is_dir()
+
+
+def _band_files(directory):
+    """The files under `directory` but resolved_config.json, by path."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*"))
+            if p.is_file() and p.name != "resolved_config.json"}
+
+
+def test_mc_sweep_writes_what_single_band_runs_write(toy_config, capsys):
+    """Each band of `mc --err-rel 0.1,0.25` gets the files and stdout lines
+    that a one-band `mc --err-rel X` run writes, byte for byte."""
+    config_path, tmp = toy_config
+    assert main(["mc", "--config", str(config_path),
+                 "--err-rel", "0.1,0.25"]) == 0
+    swept = capsys.readouterr().out
+    single_out = ""
+    for value in ("0.1", "0.25"):
+        alone = tmp / f"alone_{value}"
+        assert main(["mc", "--config", str(config_path), "--err-rel", value,
+                     "--out", str(alone)]) == 0
+        single_out += capsys.readouterr().out
+        band = f"err_rel_{value}"
+        want = _band_files(alone / band)
+        assert {"mc_probabilities.csv", "ranking_comparison.csv",
+                "ranking_comparison.json",
+                "histograms/lmp_hist_node2.json"} <= set(want)
+        assert _band_files(tmp / "out" / band) == want
+    assert swept == single_out
+
+
+def test_mc_band_sweep_locates_and_prices_once(toy_config, monkeypatch):
+    """One `cmd_mc` over three bands locates the samples and prices their
+    blocks once, not once per band."""
+    config_path, _ = toy_config
+    config = replace(pipeline.AnalysisConfig.from_json(config_path),
+                     err_rel=[0.1, 0.25, 0.5])
+    study = pipeline.build_study(config)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(stochastic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("locate", "_price_blocks"):
+        monkeypatch.setattr(stochastic, name, counted(name))
+    assert len(pipeline.cmd_mc(study, echo=lambda line: None)) == 6
+    assert calls == {"locate": 1, "_price_blocks": 1}
 
 
 def test_ptdf_command(toy_config, monkeypatch):
@@ -271,6 +330,27 @@ def test_no_renewable_buses_exits_2(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["regions", "--config", str(config_path)]) == 2
     assert "no renewable buses" in capsys.readouterr().err
+
+
+def test_price_range_too_narrow_to_bin_exits_4(tmp_path):
+    """At epsilon 1e-24 a node's sampled prices in the case14 study span
+    fewer doubles than the 200 bins: one line of numerical failure and exit
+    4, not numpy's ValueError traceback."""
+    config = {"case_path": str(case14_path()), "renewable_buses": [4, 5],
+              "forecast_fraction": 0.5, "q": 0.018, "epsilon": 1e-24,
+              "mc_n_samples": 2000, "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    src = str(Path(lmpspike.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "lmpspike.cli", "mc",
+                          "--config", str(config_path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 4, run.stderr
+    assert run.stderr.startswith("numerical failure: node index ")
+    assert run.stderr.endswith("too narrow for 200 bins\n")
+    assert run.stderr.count("\n") == 1
 
 
 def test_infeasible_forecast_exits_3(toy_config):

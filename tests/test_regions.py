@@ -743,8 +743,8 @@ def test_locate_in_a_gap_of_the_decomposition_raises(toy2r):
     # Monte Carlo prices such samples by a direct solve and counts them
     problem = toy2r[0]
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
-    mc = mc_spike_probabilities(np.full((5, 1), 8.0), gap, spec,
-                                problem=problem, bins=2)
+    [mc] = mc_spike_probabilities(np.full((5, 1), 8.0), gap, [spec],
+                                  problem=problem, bins=2)
     direct = compute_lmp(solve_opf(problem, [8.0]), problem.ptdf).values
     assert mc.fallback_count == 5 and mc.infeasible_count == 0
     assert [mc.histograms[i].edges[1] for i in (0, 1)] == list(direct)

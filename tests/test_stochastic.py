@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmpspike import (ConfigError, CovarianceSpec, GaussianModel, GridCase,
-                      Generator, InfeasibleError, Line, SpikeSpec,
+                      Generator, InfeasibleError, Line, NumericalError,
+                      SpikeSpec,
                       build_covariance, compare_ranking, compute_lmp,
                       empirical_density, locate, locate_region,
                       mc_spike_probabilities, sample, solve_opf, stochastic)
@@ -158,8 +159,7 @@ def test_halfspace_tail_matches_closed_form(toy2r):
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
     n = 100_000
     draws = sample(model, n, seed=11)
-    mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                with_histograms=False)
+    [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem)
     exact = normal_tail(2.0)
     se = np.sqrt(exact * (1 - exact) / n)
     assert abs(mc.node_spike_probs[0] - exact) <= 3.0 * se
@@ -171,8 +171,7 @@ def test_fast_path_matches_direct_solves(toy_ring):
                           np.array([[1.0, 0.3], [0.3, 2.0]]))
     draws = sample(model, 10_000, seed=13)
     spec = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
-    fast = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                  with_histograms=False)
+    [fast] = mc_spike_probabilities(draws, decomp, [spec], problem=problem)
     direct_counts = np.zeros(3, dtype=int)
     infeasible = 0
     for theta in draws:
@@ -194,8 +193,7 @@ def test_union_probability_dominates_each_node(toy_ring):
                           np.array([[1.0, 0.3], [0.3, 2.0]]))
     draws = sample(model, 20_000, seed=14)
     spec = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
-    mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                with_histograms=False)
+    [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem)
     assert mc.overall_spike_prob >= mc.node_spike_probs.max() - 1e-12
     assert np.all(mc.node_spike_probs >= 0.0)
     assert np.all(mc.node_spike_probs <= 1.0)
@@ -208,8 +206,7 @@ def test_infinite_band_never_spikes(toy2r):
                      lmp_at_mean=np.array(toy2r_lmp(5.0)))
     model = GaussianModel(np.array([5.0]), np.array([[1.0]]))
     draws = sample(model, 5_000, seed=15)
-    mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                with_histograms=False)
+    [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem)
     assert mc.node_spike_probs.max() == 0.0
     assert mc.overall_spike_prob == 0.0
 
@@ -218,8 +215,7 @@ def test_out_of_range_samples_are_counted_not_crashed(toy2r):
     problem, _, decomp = toy2r
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
     draws = np.array([[5.0], [9.0], [14.0], [-3.0]])
-    mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                with_histograms=False)
+    [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem)
     # 14 exceeds demand plus export headroom: infeasible, excluded; -3 is
     # outside the parameter box but the dispatch problem still solves there
     assert mc.infeasible_count == 1
@@ -233,8 +229,8 @@ def test_histogram_mass(toy_ring):
                           np.array([[1.0, 0.3], [0.3, 2.0]]))
     draws = sample(model, 5_000, seed=16)
     spec = build_thresholds(np.array([4.5, 4.5, 4.5]), 0.25)
-    mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                bins=50)
+    [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem,
+                                  bins=50)
     for hist in mc.histograms.values():
         assert hist.counts.sum() == mc.valid_samples
         assert hist.edges.size == 51
@@ -260,8 +256,8 @@ def test_mc_fast_path_applies_the_tie_rule(toy2r):
     two-bin histogram widens to [p - 0.5, p + 0.5] with p as its middle edge."""
     problem, _, decomp = toy2r
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
-    mc = mc_spike_probabilities(np.array([[6.0]]), decomp, spec,
-                                problem=problem, bins=2)
+    [mc] = mc_spike_probabilities(np.array([[6.0]]), decomp, [spec],
+                                  problem=problem, bins=2)
     _, located = locate_region(decomp, [6.0])
     assert mc.valid_samples == 1 and mc.fallback_count == 0
     assert np.allclose(located, [4.0, 4.0], atol=1e-9)
@@ -286,10 +282,24 @@ def test_fewer_than_two_bins_is_a_config_error(toy2r, bins):
     spec = build_thresholds(np.array(toy2r_lmp(5.0)), 0.25)
     draws = np.array([[5.0], [7.0]])
     with pytest.raises(ConfigError, match="bins"):
-        mc_spike_probabilities(draws, decomp, spec, problem=problem,
+        mc_spike_probabilities(draws, decomp, [spec], problem=problem,
                                bins=bins)
     with pytest.raises(ConfigError, match="bins"):
         empirical_density(draws, decomp, 0, bins=bins, problem=problem)
+
+
+def test_a_price_range_too_narrow_to_bin_is_a_numerical_error(toy2r):
+    """Injections a few ulps apart give bus 2 prices that span fewer doubles
+    than 200 bins: a typed error naming the node, not numpy's ValueError.
+    Bus 1's price is constant there, so its range is widened by 0.5."""
+    problem, _, decomp = toy2r
+    draws = np.array([[5.0], [np.nextafter(5.0, 6.0)],
+                      [5.0 + 4 * np.spacing(5.0)]])
+    hist = empirical_density(draws, decomp, 0, problem=problem)
+    assert list(hist.edges[[0, -1]]) == [3.5, 4.5]
+    with pytest.raises(NumericalError,
+                       match=r"node index 1: .* too narrow for 200 bins"):
+        empirical_density(draws, decomp, 1, problem=problem)
 
 
 # rows outside the parameter set: (dispatch still solves, no dispatch exists)
@@ -345,11 +355,11 @@ def test_streamed_statistics_match_the_dense_reference(toy_ring, toy2r, data):
     with mock.patch.object(stochastic, "PRICE_BLOCK", block):
         if valid == 0:
             with pytest.raises(InfeasibleError):
-                mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                       bins=bins)
+                mc_spike_probabilities(draws, decomp, [spec],
+                                       problem=problem, bins=bins)
             return
-        mc = mc_spike_probabilities(draws, decomp, spec, problem=problem,
-                                    bins=bins)
+        [mc] = mc_spike_probabilities(draws, decomp, [spec], problem=problem,
+                                      bins=bins)
         node = spec.nodes()[0]
         density = empirical_density(draws, decomp, node, bins=bins,
                                     problem=problem)
@@ -367,6 +377,53 @@ def test_streamed_statistics_match_the_dense_reference(toy_ring, toy2r, data):
         assert hist.counts.dtype == want_counts.dtype
     assert np.array_equal(density.edges, hists[node][1])
     assert np.array_equal(density.counts, hists[node][0])
+
+
+def test_one_stream_serves_every_band(toy_ring):
+    """Two bands in one call give, field by field, what one call per band
+    gives, with direct-solve and infeasible samples among the draws; the
+    bands share the histograms and keep their own markers."""
+    problem, _, decomp = toy_ring
+    model = GaussianModel(np.array([3.0, 4.0]),
+                          np.array([[1.0, 0.3], [0.3, 2.0]]))
+    solvable, infeasible = OUTSIDE_ROWS["toy_ring"]
+    draws = np.vstack([sample(model, 5_000, seed=19), solvable, infeasible])
+    specs = [build_thresholds(np.array([4.5, 4.5, 4.5]), e)
+             for e in (0.1, 0.25)]
+    shared = mc_spike_probabilities(draws, decomp, specs, problem=problem,
+                                    bins=50)
+    assert len(shared) == 2
+    assert shared.fallback_count == shared[0].fallback_count >= 2
+    assert shared.infeasible_count == shared[0].infeasible_count >= 2
+    for spec, mc in zip(specs, shared):
+        [alone] = mc_spike_probabilities(draws, decomp, [spec],
+                                         problem=problem, bins=50)
+        for name in ("n_samples", "overall_spike_count", "overall_spike_prob",
+                     "infeasible_count", "fallback_count"):
+            assert getattr(mc, name) == getattr(alone, name), name
+        assert type(mc.overall_spike_count) is int
+        assert np.array_equal(mc.node_spike_counts, alone.node_spike_counts)
+        assert np.array_equal(mc.node_spike_probs, alone.node_spike_probs)
+        assert sorted(mc.histograms) == sorted(alone.histograms) == [0, 1, 2]
+        for i, hist in mc.histograms.items():
+            other = alone.histograms[i]
+            assert np.array_equal(hist.edges, other.edges)
+            assert np.array_equal(hist.counts, other.counts)
+            assert (hist.alpha_minus, hist.alpha_plus) \
+                == (other.alpha_minus, other.alpha_plus) \
+                == (spec.alpha_minus[i], spec.alpha_plus[i])
+    # the narrower band spikes more often
+    assert shared[0].overall_spike_count > shared[1].overall_spike_count
+
+
+def test_specs_must_select_the_same_nodes(toy_ring):
+    problem, _, decomp = toy_ring
+    ref = np.array([4.5, 4.5, 4.5])
+    draws = np.array([[3.0, 4.0]])
+    for specs in ([build_thresholds(ref, 0.25),
+                   build_thresholds(ref, 0.25, node_filter=(0, 2))], []):
+        with pytest.raises(ValueError, match="same nodes"):
+            mc_spike_probabilities(draws, decomp, specs, problem=problem)
 
 
 @pytest.mark.parametrize("block", [2, 3, 5])
@@ -479,8 +536,8 @@ def test_streamed_mc_memory_stays_below_the_price_matrix(study14,
     spec = study14.spike_spec(0.25)
     tracemalloc.start()
     try:
-        mc = mc_spike_probabilities(samples_high, study14.decomposition, spec,
-                                    problem=study14.problem)
+        [mc] = mc_spike_probabilities(samples_high, study14.decomposition,
+                                      [spec], problem=study14.problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -522,7 +579,7 @@ def _mc_with_probs(probs):
     probs = np.asarray(probs, dtype=float)
     n = 1_000_000
     counts = (probs * n).astype(np.int64)
-    return MCResult(n_samples=n, seed=0, node_spike_counts=counts,
+    return MCResult(n_samples=n, node_spike_counts=counts,
                     node_spike_probs=counts / n, overall_spike_count=0,
                     overall_spike_prob=0.0, infeasible_count=0,
                     fallback_count=0)

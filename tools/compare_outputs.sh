@@ -11,8 +11,8 @@
 # n_theta 4, 6 and 7 (buses 4, 5, 9, 10, 13, 14, 12 truncated; forecast
 # 0.3), each with one band over all nodes, and n_theta 2 again with
 # `node_filter` [9, 10, 14] and `err_rel` [0.1, 0.25], whose `mc` prices a
-# node subset and runs twice, once per band; `ptdf` writes ptdf.csv, the
-# PTDF matrix behind A, b and E.  The
+# node subset and counts spikes for both bands in one pass; `ptdf` writes
+# ptdf.csv, the PTDF matrix behind A, b and E.  The
 # configs use relative paths, so resolved_config.json, the echoed paths and
 # any warning text compare too; each command's stdout, stderr and exit code
 # are kept beside its files.  Prints `diff -r` of the two output trees and
