@@ -4,7 +4,9 @@ A polytope pairs its halfspace rows with a cached vertex set, computed once by
 a qhull halfspace intersection (`scipy.spatial.HalfspaceIntersection`) seeded
 at the Chebyshev center, or in closed form for an interval, and with its
 unit-norm form, also computed once, in one array pass.  Redundancy removal,
-support values, bounding boxes and facet points are read off the vertices.
+support values, bounding boxes and facet points are read off the vertices:
+a row is kept when the vertices on its hyperplane span a facet that no
+earlier row holds, so of the rows on one facet the first stays.
 LPs (HiGHS) remain only for the Chebyshev center, which also decides
 emptiness.
 """
@@ -27,9 +29,6 @@ FLAT_TOL = 1e-9
 # slack within which a vertex lies on a row's hyperplane, and the spread a
 # facet's vertices need to span it
 FACET_TOL = 1e-8
-# rows per block of the pairwise near-duplicate test, which holds one
-# block x rows matrix at a time
-DUP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -153,27 +152,28 @@ class Polytope:
     def remove_redundancy(self) -> "Polytope":
         """Minimal representation, read off the vertex set.
 
-        Near-duplicate rows are collapsed first (the first copy stays).  A
-        remaining row stays when the vertices within FACET_TOL of its
-        hyperplane span a facet, a (d-1)-dimensional face; of several rows on
-        one facet the last stays.  The result is a row subset of
-        `normalized()` in the original order and carries the vertex set
-        along.  An empty polytope comes back normalized; a lower-dimensional
-        one raises InfeasibleError.
+        A row stays when the vertices within FACET_TOL of its hyperplane
+        span a facet, a (d-1)-dimensional face, and no earlier row holds the
+        same vertices: of the rows on one facet, near-duplicates included,
+        the first stays.  The result is a row subset of `normalized()` in
+        the original order and carries the vertex set along.  An empty
+        polytope comes back normalized; a lower-dimensional one raises
+        InfeasibleError.
         """
         p = self.normalized()
         if p.n_rows == 0 or self.is_empty():
             return p
         verts = self.vertices()
-        G, w = _distinct_rows(p.G, p.w)
-        slack = w[:, None] - G @ verts.T
-        row_of_facet: dict[tuple[int, ...], int] = {}
-        for i in range(G.shape[0]):
-            on = np.flatnonzero(slack[i] <= FACET_TOL)
-            if _spans_facet(verts[on], self.dim):
-                row_of_facet[tuple(on)] = i
-        keep = sorted(row_of_facet.values())
-        return Polytope(G[keep], w[keep], _verts=verts)
+        slack = p.w[:, None] - p.G @ verts.T
+        seen: set[tuple[int, ...]] = set()
+        keep: list[int] = []
+        for i, row in enumerate(slack):
+            on = np.flatnonzero(row <= FACET_TOL)
+            if tuple(on) not in seen:
+                seen.add(tuple(on))
+                if _spans_facet(verts[on], self.dim):
+                    keep.append(i)
+        return Polytope(p.G[keep], p.w[keep], _verts=verts)
 
     def facet_point(self, i: int) -> np.ndarray | None:
         """Centroid of the vertices on row i's hyperplane (None when none lie on it)."""
@@ -198,28 +198,6 @@ class Polytope:
     @staticmethod
     def from_dict(d: dict) -> "Polytope":
         return Polytope.from_rows(d["G"], d["w"])
-
-
-def _distinct_rows(G, w) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with near-duplicates dropped; the first kept copy of each stays.
-
-    Row i nearly duplicates an earlier row k when no coefficient differs by
-    more than 1e-9 and |w_i - w_k| <= 1e-9 (1 + |w_k|).  The relation is not
-    transitive, so a row whose earlier near-duplicates were all dropped
-    stays; only rows with some earlier near-duplicate need that check.
-    """
-    n = G.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for lo in range(0, n, DUP_BLOCK):
-        hi = min(lo + DUP_BLOCK, n)
-        # near[i - lo, k]: row i nearly duplicates the earlier row k
-        near = np.abs(w[lo:hi, None] - w[:hi]) <= 1e-9 * (1.0 + np.abs(w[:hi]))
-        near &= np.arange(hi) < np.arange(lo, hi)[:, None]
-        for col in G.T:
-            near &= np.abs(col[lo:hi, None] - col[:hi]) <= 1e-9
-        for i in np.flatnonzero(near.any(axis=1)):
-            keep[lo + i] = not np.any(near[i] & keep[:hi])
-    return G[keep], w[keep]
 
 
 def _spans_facet(points, dim: int) -> bool:

@@ -7,9 +7,9 @@ candidate, tail probabilities from the closed-form normal distribution,
 polytope operations from one HiGHS LP per row or direction, the QP
 feasibility verdict from an elastic phase-1 LP, and the feasible parameter
 set from a Fourier-Motzkin projection of the joint (dispatch, injection)
-system.  Row normalization, duplicate removal and region enumeration also
-keep their row-by-row and solve-every-step forms here, as the references
-for the vectorized and solve-free versions, and decay rates their
+system.  Row normalization and region enumeration also keep their
+row-by-row and solve-every-step forms here, as the references for the
+vectorized and solve-free versions, and decay rates their
 solve-every-piece form, the reference for bound-pruned evaluation.  LPs
 keep their `scipy.optimize.linprog` form, the reference for the direct
 HiGHS calls of `lp.solve_lp`.  Monte Carlo prices keep their dense
@@ -275,7 +275,8 @@ def lp_remove_redundancy(poly: Polytope, tol=1e-8) -> Polytope:
     """Minimal representation; one LP per surviving row.
 
     Near-duplicate rows are collapsed first so the LP loop sees each
-    halfspace once.
+    halfspace once.  The loop runs from the last row to the first, so of
+    rows holding the same facet the first stays.
     """
     p = poly.normalized()
     if p.n_rows == 0 or p.is_empty():
@@ -293,7 +294,7 @@ def lp_remove_redundancy(poly: Polytope, tol=1e-8) -> Polytope:
     G, w = p.G[keep_rows], p.w[keep_rows]
 
     alive = list(range(G.shape[0]))
-    for i in range(G.shape[0]):
+    for i in reversed(range(G.shape[0])):
         others = [j for j in alive if j != i]
         if not others:
             continue
@@ -541,21 +542,6 @@ def rowwise_normalized(poly: Polytope) -> Polytope:
     if not G:
         return Polytope(np.zeros((0, poly.dim)), np.zeros(0))
     return Polytope(np.asarray(G), np.asarray(w))
-
-
-def sequential_distinct_rows(G, w):
-    """Near-duplicate rows dropped one row at a time; a row goes when it is
-    within 1e-9 of a row kept before it."""
-    keep: list[int] = []
-    for i in range(G.shape[0]):
-        if keep:
-            Gk, wk = G[keep], w[keep]
-            dup = ((np.abs(Gk - G[i]).max(axis=1) <= 1e-9)
-                   & (np.abs(w[i] - wk) <= 1e-9 * (1.0 + np.abs(wk))))
-            if dup.any():
-                continue
-        keep.append(i)
-    return G[keep], w[keep]
 
 
 def solve_every_step_regions(problem, box_lo, box_hi):

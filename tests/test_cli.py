@@ -118,7 +118,7 @@ def test_mc_command_and_determinism(toy_config):
     assert first_hist == again_hist
 
 
-def test_mc_sweep_creates_subdirectories(toy_config):
+def test_rank_sweep_creates_subdirectories(toy_config):
     config_path, tmp = toy_config
     assert main(["rank", "--config", str(config_path),
                  "--err-rel", "0.25,0.5"]) == 0
@@ -302,24 +302,94 @@ def test_bad_list_key_exits_2_before_any_build(toy_config, capsys,
                                         edits, message)
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"alpha_minus": [3.0, 9.0], "err_rel": None},
+     "explicit bands need both alpha_minus and alpha_plus"),
+    ({"mu_theta": [5.0]}, "give exactly one of forecast_fraction or mu_theta"),
+    ({"forecast_fraction": None},
+     "give exactly one of forecast_fraction or mu_theta"),
+    ({"q": 0.018}, "give exactly one of q or sigma_theta"),
+    ({"sigma_theta": None}, "give exactly one of q or sigma_theta"),
+    *[({name: value}, f"{name} must be positive")
+      for name in ("gamma_line", "lambda_safety", "kappa", "tau_squared",
+                   "epsilon") for value in (0.0, -1.0)],
+    ({"mc_bins": 1}, "mc_bins must be >= 2"),
+    ({"case_path": None}, "missing 1 required positional argument: "
+                          "'case_path'"),
+    ("{not json", "cannot read config"),
+    (None, "cannot read config"),
+], ids=["alpha-minus-alone", "forecast-and-mu", "neither-forecast-nor-mu",
+        "q-and-sigma", "neither-q-nor-sigma",
+        *[f"{sign}-{name}" for name in ("gamma_line", "lambda_safety", "kappa",
+                                        "tau_squared", "epsilon")
+          for sign in ("zero", "negative")],
+        "one-bin", "no-case-path", "malformed-json", "no-config-file"])
+def test_inconsistent_config_exits_2_before_any_build(toy_config, capsys,
+                                                      monkeypatch, edits,
+                                                      message):
+    """Bands, mean and covariance are each given one way, the model
+    parameters are positive, a histogram has two bins or more and the case
+    is named; a config that breaks a rule, or a config file that cannot be
+    read or parsed, is rejected before a region is enumerated."""
+    _assert_mc_exits_2_before_any_build(toy_config, capsys, monkeypatch,
+                                        edits, message)
+
+
 def _assert_mc_exits_2_before_any_build(toy_config, capsys, monkeypatch,
                                         edits, message):
     """`mc` on the toy config with `edits` applied (None drops a key)
-    exits 2 with `message` and enumerates no region."""
+    exits 2 with `message` and enumerates no region and solves no dispatch.
+    A string in place of `edits` is the config file's whole text, and None
+    removes the file."""
     def fail(*args, **kwargs):
         raise AssertionError("a bad config must not reach the enumeration")
 
     monkeypatch.setattr(pipeline, "enumerate_regions", fail)
+    monkeypatch.setattr(pipeline, "solve_opf", fail)
     config_path, _ = toy_config
-    doc = json.loads(config_path.read_text())
-    for key, value in edits.items():
-        if value is None:
-            doc.pop(key)
-        else:
-            doc[key] = value
-    config_path.write_text(json.dumps(doc))
+    if edits is None:
+        config_path.unlink()
+    elif isinstance(edits, str):
+        config_path.write_text(edits)
+    else:
+        doc = json.loads(config_path.read_text())
+        for key, value in edits.items():
+            if value is None:
+                doc.pop(key)
+            else:
+                doc[key] = value
+        config_path.write_text(json.dumps(doc))
     assert main(["mc", "--config", str(config_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_scalar_err_rel_writes_what_a_one_entry_list_writes(toy_config):
+    """`"err_rel": 0.25` runs as `[0.25]`: the same files, byte for byte,
+    and the same resolved list."""
+    config_path, tmp = toy_config
+    trees = []
+    for k, err_rel in enumerate(([0.25], 0.25)):
+        doc = json.loads(config_path.read_text())
+        doc["err_rel"] = err_rel
+        config_path.write_text(json.dumps(doc))
+        out = tmp / f"out_{k}"
+        assert main(["mc", "--config", str(config_path), "--out",
+                     str(out)]) == 0
+        trees.append(_band_files(out))
+        snap = json.loads((out / "err_rel_0.25" /
+                           "resolved_config.json").read_text())
+        assert snap["err_rel"] == [0.25]
+    assert "err_rel_0.25/mc_probabilities.csv" in trees[0]
+    assert trees[1] == trees[0]
+
+
+def test_node_filter_with_unknown_bus_exits_2(toy_config, capsys):
+    config_path, _ = toy_config
+    doc = json.loads(config_path.read_text())
+    doc["node_filter"] = [2, 7]
+    config_path.write_text(json.dumps(doc))
+    assert main(["rank", "--config", str(config_path)]) == 2
+    assert "unknown bus 7" in capsys.readouterr().err
 
 
 def test_no_renewable_buses_exits_2(tmp_path, capsys):

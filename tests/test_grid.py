@@ -219,6 +219,87 @@ def test_json_missing_reactance_names_line(tmp_path):
         load_case(path)
 
 
+JSON_CASE = {"buses": [1, 2], "lines": [{"from": 1, "to": 2, "x": 0.5}],
+             "generators": [{"bus": 1, "gmin": 0, "gmax": 20, "c2": 0.5,
+                             "c1": 3.0}],
+             "loads": {"2": 10.0}, "renewables": [2], "reference": 1}
+
+MATPOWER_TABLES = {"bus": "1 3 0 0 0 0 1 1 0 0 1 1.06 0.94;\n"
+                          "2 1 5 0 0 0 1 1 0 0 1 1.06 0.94;",
+                   "gen": "1 0 0 0 0 1 100 1 10 0;",
+                   "branch": "1 2 0.0 0.1 0 0 0 0 0 0 1;",
+                   "gencost": "2 0 0 3 0.1 1 0;"}
+
+
+def _json_case(**edits):
+    """The two-bus JSON case as a dict, with `edits` applied (None drops a
+    key)."""
+    doc = {**JSON_CASE, **edits}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _matpower_text(**tables):
+    """(".m", text) of the two-bus MATPOWER case, with `tables` replaced
+    (None drops a table)."""
+    tables = {**MATPOWER_TABLES, **tables}
+    return (".m", "".join(f"mpc.{name} = [\n{body}\n];\n"
+                          for name, body in tables.items() if body is not None))
+
+
+def test_two_bus_sources_load(tmp_path):
+    """The sources that the rejection cases below edit are valid as given."""
+    suffix, text = _matpower_text()
+    path = tmp_path / f"case{suffix}"
+    path.write_text(text)
+    for source in (_json_case(), path):
+        case = load_case(source)
+        assert case.buses == (1, 2) and case.n_g == 1
+
+
+@pytest.mark.parametrize("source, message", [
+    (_json_case(lines=[{"from": 1, "to": 1, "x": 0.5}]),
+     "line (1,1) is a self-loop"),
+    (_json_case(generators=[{"bus": 1, "gmin": 30, "gmax": 20, "c2": 0.5,
+                             "c1": 3.0}]),
+     "generator at bus 1: g_min > g_max"),
+    (_json_case(buses=[1, 2, 2]), "duplicate bus ids"),
+    (_json_case(lines=[{"from": 1, "to": 3, "x": 0.5}]),
+     "line (1,3) references unknown bus"),
+    (_json_case(generators=[{"bus": 3, "gmin": 0, "gmax": 20, "c2": 0.5,
+                             "c1": 3.0}]),
+     "generator references unknown bus 3"),
+    (_json_case(loads={"3": 1.0}), "load references unknown bus 3"),
+    (_json_case(renewables=[3]), "renewable bus 3 unknown"),
+    (_json_case(reference=3), "reference bus 3 unknown"),
+    (_json_case(renewables=[2, 2]), "duplicate renewable bus"),
+    ((".json", '{"buses": [1, 2],'), "invalid JSON case file"),
+    (_json_case(buses=None), "case document missing 'buses'"),
+    (_json_case(generators=[{"bus": 1, "gmin": 0, "gmax": 20}]),
+     "generator 0 missing fields ['c1', 'c2']"),
+    (_matpower_text(gencost=None), "MATPOWER case missing mpc.gencost table"),
+    (_matpower_text(gencost="2 0 0 3 0.1 1 0;\n2 0 0 3 0.1 1 0;"),
+     "gencost and gen tables have different row counts"),
+    (_matpower_text(gencost="1 0 0 3 0.1 1 0;"),
+     "only polynomial gencost entries are supported"),
+    (_matpower_text(gencost="2 0 0 4 0.1 0.1 1 0;"),
+     "gencost polynomial degree above 2 not supported"),
+], ids=["self-loop", "gmin-above-gmax", "duplicate-bus", "line-unknown-bus",
+        "generator-unknown-bus", "load-unknown-bus", "renewable-unknown-bus",
+        "reference-unknown-bus", "duplicate-renewable", "invalid-json",
+        "no-buses", "generator-fields", "no-gencost-table",
+        "gencost-row-count", "piecewise-gencost", "cubic-gencost"])
+def test_load_case_rejects_inconsistent_data(tmp_path, source, message):
+    """A dict, or JSON or MATPOWER text in a file, that breaks a rule of
+    the case schema raises CaseError naming it."""
+    if isinstance(source, tuple):
+        suffix, text = source
+        source = tmp_path / f"case{suffix}"
+        source.write_text(text)
+    with pytest.raises(CaseError) as exc:
+        load_case(source)
+    assert message in str(exc.value)
+
+
 def test_case14_matpower_subset():
     case = load_case(case14_path(), renewable_buses=[4, 5])
     assert case.n == 14 and case.m == 20 and case.n_g == 5

@@ -11,8 +11,7 @@ from lmpspike.errors import InfeasibleError, NumericalError
 from lmpspike.polytope import Polytope, box_polytope
 
 from oracles import (fourier_motzkin, lp_bounding_box, lp_facet_point,
-                     lp_remove_redundancy, lp_support, rowwise_normalized,
-                     sequential_distinct_rows)
+                     lp_remove_redundancy, lp_support, rowwise_normalized)
 
 
 def unit_square():
@@ -45,6 +44,22 @@ def test_duplicate_rows_collapse():
                            [0.0, 1.0], [0.0, -1.0]]),
                  np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
     assert p.remove_redundancy().n_rows == 4
+
+
+@pytest.mark.parametrize("poly, kept", [
+    # rows 0 ~ 1 ~ 2 within 2e-9, but rows 0 and 2 are 3e-9 apart
+    (Polytope.from_rows([[1.0], [1.0], [1.0], [-1.0]],
+                        [1.0, 1.0 + 1.5e-9, 1.0 + 3e-9, 1.0]), [0, 3]),
+    # a later copy of x <= 1 moved 8e-9 outward: within the facet tolerance
+    (Polytope.from_rows(np.vstack([unit_square().G, [[1.0, 0.0]]]),
+                        np.append(unit_square().w, 1.0 + 8e-9)), [0, 1, 2, 3]),
+], ids=["near-duplicate-chain", "nudged-copy"])
+def test_first_row_of_a_facet_stays(poly, kept):
+    """Of the rows whose hyperplanes hold the same facet's vertices, the
+    first stays, however far apart the later ones are."""
+    minimal, rows = poly.remove_redundancy(), poly.normalized()
+    assert np.array_equal(minimal.G, rows.G[kept])
+    assert np.array_equal(minimal.w, rows.w[kept])
 
 
 def test_empty_detection():
@@ -301,41 +316,3 @@ def test_normalized_is_bit_equal_to_rowwise_reference(poly):
     assert poly.normalized() is ours
     # a normalized result is normalized afresh, never taken as its own form
     assert ours.normalized() is not ours
-
-
-@st.composite
-def near_duplicate_rows(draw):
-    """Integer rows plus exact copies and chains of copies each 0.6e-9 from
-    the last, so neighbours are near-duplicates but chain ends are not."""
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 8))
-    ints = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
-    base = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
-    rows = [base]
-    for _ in range(draw(st.integers(0, 6))):
-        src = base[draw(st.integers(0, n - 1))]
-        step = np.array(draw(st.lists(st.sampled_from([0.0, 0.6e-9, -0.6e-9]),
-                                      min_size=d + 1, max_size=d + 1)))
-        length = draw(st.integers(1, 4))
-        rows.append(src + np.arange(1, length + 1)[:, None] * step)
-    rows = np.vstack(rows)
-    order = draw(st.permutations(range(rows.shape[0])))
-    return rows[order, :d], rows[order, d]
-
-
-@PROPERTY
-@given(near_duplicate_rows(), st.sampled_from([2, 3, polytope.DUP_BLOCK]))
-# rows 0 ~ 1 ~ 2 but not 0 ~ 2: row 1 goes, so row 2 stays
-@example((np.array([[1.0], [1.0 + 0.6e-9], [1.0 + 1.2e-9]]), np.zeros(3)),
-         polytope.DUP_BLOCK)
-def test_distinct_rows_match_sequential_reference(rows, block):
-    G, w = rows
-    saved = polytope.DUP_BLOCK
-    polytope.DUP_BLOCK = block
-    try:
-        ours = polytope._distinct_rows(G, w)
-    finally:
-        polytope.DUP_BLOCK = saved
-    ref = sequential_distinct_rows(G, w)
-    assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
-

@@ -1,5 +1,7 @@
 """Critical-region enumeration, maps, location and persistence."""
 
+from collections import Counter, deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,15 +185,18 @@ def any_system(request):
     """(problem, parameter set, decomposition, box) of each enumerated system."""
     system = request.getfixturevalue(request.param)
     if request.param == "study14":
-        case = system.case
-        # the box `build_study` enumerates in
-        hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
-                                       for g in case.generators) + 1.0
         return (system.problem, system.decomposition.theta_space,
-                system.decomposition,
-                (np.zeros(case.n_theta), np.full(case.n_theta, hi)))
+                system.decomposition, _study_box(system))
     box = {"toy_ring": ([0.0, 0.0], [30.0, 30.0]), "toy2r": ([0.0], [25.0])}
     return (*system, box[request.param])
+
+
+def _study_box(study):
+    """The box `build_study` enumerates the study's regions in."""
+    case = study.case
+    hi = case.total_demand() + sum(abs(min(g.g_min, 0.0))
+                                   for g in case.generators) + 1.0
+    return np.zeros(case.n_theta), np.full(case.n_theta, hi)
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -413,6 +418,34 @@ def test_build_region_rejection_reasons(toy2r):
     region, why = _build_region(problem, _split_binding(problem, (2,)), box,
                                 1e-9)
     assert why is None and region.partition.key == (0, 2)
+
+
+def test_a_rejected_partition_is_built_once(study14, monkeypatch):
+    """A binding set that `_build_region` rejects is marked dead: proposed
+    again from the facets of other regions, it is not built again nor
+    reported twice, and no other binding set is built twice either."""
+    rejected = (0, 27, 28, 50, 51)  # five facets propose it when it is built
+    proposals, builds = Counter(), Counter()
+
+    class CountingQueue(deque):
+        def append(self, part):
+            proposals[part.key] += 1
+            super().append(part)
+
+    def rejecting(problem, part, box, min_radius):
+        builds[part.key] += 1
+        if part.key == rejected:
+            return None, "rejected in the test"
+        return _build_region(problem, part, box, min_radius)
+
+    monkeypatch.setattr(regions, "deque", CountingQueue)
+    monkeypatch.setattr(regions, "_build_region", rejecting)
+    ours = enumerate_regions(study14.problem, *_study_box(study14))
+    assert proposals[rejected] >= 2
+    assert builds[rejected] == 1
+    assert max(builds.values()) == 1
+    assert ours.degenerate_diagnostics.count("rejected in the test") == 1
+    assert rejected not in {r.partition.key for r in ours.regions}
 
 
 def test_parameter_set_equals_the_projection(any_system):

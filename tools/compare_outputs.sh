@@ -6,10 +6,10 @@
 # REF's src/ is exported with `git archive` and the working tree's src/ is
 # copied (uncommitted edits included); the repository is only read.  Each
 # tree in turn is placed at the same temporary path and runs `lmpspike
-# regions`, `rank`, `mc` (seed 20240, 2*10^5 samples) and `ptdf` on five
+# regions`, `rank`, `mc` (seed 20240, 2*10^5 samples) and `ptdf` on six
 # case14 studies: n_theta 2 (renewables at buses 4, 5; forecast 0.5),
-# n_theta 4, 6 and 7 (buses 4, 5, 9, 10, 13, 14, 12 truncated; forecast
-# 0.3), each with one band over all nodes, and n_theta 2 again with
+# n_theta 4, 6, 7 and 8 (buses 4, 5, 9, 10, 13, 14, 12, 11 truncated;
+# forecast 0.3), each with one band over all nodes, and n_theta 2 again with
 # `node_filter` [9, 10, 14] and `err_rel` [0.1, 0.25], whose `mc` prices a
 # node subset and counts spikes for both bands in one pass; `ptdf` writes
 # ptdf.csv, the PTDF matrix behind A, b and E.  The
@@ -17,7 +17,7 @@
 # any warning text compare too; each command's stdout, stderr and exit code
 # are kept beside its files.  Prints `diff -r` of the two output trees and
 # exits 0 when they are identical, 1 on any difference, 2 on a usage or git
-# error.  About 35 s per tree on 2 vCPUs.
+# error.  About 40 s per tree on 2 vCPUs.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -60,11 +60,12 @@ write_config n2 "[4, 5]" 0.5
 write_config n4 "[4, 5, 9, 10]" 0.3
 write_config n6 "[4, 5, 9, 10, 13, 14]" 0.3
 write_config n7 "[4, 5, 9, 10, 13, 14, 12]" 0.3
+write_config n8 "[4, 5, 9, 10, 13, 14, 12, 11]" 0.3
 write_config n2f "[4, 5]" 0.5 "[0.1, 0.25]" "[9, 10, 14]"
 
 run_tree() {  # tree name; its src/ must already sit in $tmp/run
     local study cmd log start=$SECONDS
-    for study in n2 n4 n6 n7 n2f; do
+    for study in n2 n4 n6 n7 n8 n2f; do
         mkdir -p "$tmp/run/out/$study"
         for cmd in regions rank mc ptdf; do
             log="$tmp/run/out/$study/$cmd"
